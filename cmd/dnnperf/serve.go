@@ -551,12 +551,14 @@ func (s *server) handlePredict(w http.ResponseWriter, req *http.Request) {
 	var pred units.Seconds
 	if rt != nil {
 		// Traced: split compilation from prediction so the timeline
-		// attributes plan-cache misses. Predictions are bit-identical to
-		// the untraced PredictNetwork path; a plan error falls back to it
-		// for the identical error shape.
+		// attributes plan-cache misses. Predictions and the batch limit are
+		// those of the untraced PredictNetwork path; a plan error falls back
+		// to it for the identical error shape.
 		if p, perr := m.CompiledPlan(net); perr == nil {
 			rt.stage("compile")
-			pred = p.Predict(batch)
+			if err = p.CheckBatch(batch); err == nil {
+				pred = p.Predict(batch)
+			}
 			rt.stage("predict")
 		} else {
 			pred, err = m.PredictNetwork(net, batch)

@@ -429,3 +429,27 @@ func BenchmarkServePredictBatch(b *testing.B) {
 		h.ServeHTTP(w, req)
 	}
 }
+
+// TestServePredictBatchAboveLimit checks that a batch above the model's
+// exact-arithmetic limit gets 422 from /predict (untraced and traced) and
+// from both /predict/batch forms, instead of a wrong number.
+func TestServePredictBatchAboveLimit(t *testing.T) {
+	h := fittedServer(t).handler()
+	const huge = "1125899906842624" // 2^50
+	for _, target := range []string{
+		"/predict?network=resnet50&batch=" + huge,
+		"/predict/batch?network=resnet50&batches=1," + huge,
+	} {
+		if w := get(t, h, target); w.Code != http.StatusUnprocessableEntity {
+			t.Errorf("GET %s: status %d, want 422 (body %s)", target, w.Code, w.Body)
+		}
+	}
+	if w := post(t, h, "/predict/batch", `{"network": "resnet50", "batches": [1, `+huge+`]}`); w.Code != http.StatusUnprocessableEntity {
+		t.Errorf("POST /predict/batch: status %d, want 422 (body %s)", w.Code, w.Body)
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, tracedRequest("/predict?network=resnet50&batch="+huge, obs.NewSpanContext()))
+	if w.Code != http.StatusUnprocessableEntity {
+		t.Errorf("traced /predict: status %d, want 422 (body %s)", w.Code, w.Body)
+	}
+}

@@ -192,7 +192,7 @@ func TestLocksafeRegistryFixture(t *testing.T) {
 }
 
 func TestStaleplanPositive(t *testing.T) {
-	runFixture(t, NewStaleplan(), "staleplanpos", 3)
+	runFixture(t, NewStaleplan(), "staleplanpos", 5)
 }
 
 func TestStaleplanNegative(t *testing.T) {

@@ -277,12 +277,12 @@ func TestLoadPackages(t *testing.T) {
 // carry the //dnnperf:allocfree contract because their steady state is
 // benchmarked at 0 allocs/op.
 var hotPathAnnotations = map[string][]string{
-	"internal/core/plan.go":     {"Predict", "PredictSweepInto", "predictTerms", "networkFingerprint", "str", "u64", "num", "flag"},
-	"internal/core/model.go":    {"clampTime"},
-	"internal/core/kw.go":       {"PredictNetwork", "planFor"},
-	"internal/cache/cache.go":   {"Get", "moveToFront", "pushFront", "unlink"},
-	"cmd/dnnperf/serve.go":      {"renderPredict", "queryValue", "setHeader", "writeJSONString"},
-	"cmd/dnnperf/servetrace.go": {"traceparentOf", "sampleRequest", "traceOf", "startStages", "mark"},
+	"internal/core/plan.go":       {"Predict", "PredictSweepInto", "CheckBatch", "predictTerms", "networkFingerprint", "str", "u64", "num", "flag"},
+	"internal/core/model.go":      {"clampTime"},
+	"internal/core/kernelwise.go": {"PredictNetwork", "planFor"},
+	"internal/cache/cache.go":     {"Get", "moveToFront", "pushFront", "unlink"},
+	"cmd/dnnperf/serve.go":        {"renderPredict", "queryValue", "setHeader", "writeJSONString"},
+	"cmd/dnnperf/servetrace.go":   {"traceparentOf", "sampleRequest", "traceOf", "startStages", "mark"},
 	"internal/sched/localsearch.go": {
 		"heapSwap", "siftUp", "siftDown", "heapFix", "maxExcluding",
 		"evalMove", "evalSwap", "applySwap",
@@ -290,7 +290,8 @@ var hotPathAnnotations = map[string][]string{
 	"internal/fleetsim/event.go": {
 		"reset", "less", "push", "pop", "siftUp", "siftDown", "full", "at",
 	},
-	"internal/fleetsim/steptable.go": {"At", "next", "float64"},
+	"internal/fleetsim/steptable.go": {"At"},
+	"internal/splitmix/splitmix.go":  {"Mix64", "Next", "Float64", "Intn"},
 	"internal/fleetsim/sim.go":       {"route", "startBatch"},
 }
 

@@ -7,9 +7,10 @@ import (
 )
 
 // Staleplan guards the coherence between fitted models and their compiled
-// prediction plans. KWModel and IGKWModel cache compiled Plans keyed on the
-// current coefficient structure; the blessed mutators (Fit*, ObserveRecords
-// and the rebuild helpers they call) invalidate those caches after every
+// prediction plans. KWModel and IGKWModel embed one kernel-wise core
+// (kernelWise) that caches compiled Plans keyed on the current resolved-line
+// table; the blessed mutators (Fit*, ObserveRecords and the rebuild helpers
+// they call) rebuild the table and invalidate those caches after every
 // coefficient change. A write to a coefficient field from anywhere else
 // silently leaves stale plans serving predictions from the old
 // coefficients.
@@ -30,17 +31,16 @@ func (*Staleplan) Doc() string {
 	return "model coefficient mutation outside the blessed mutators (stale compiled plans)"
 }
 
-// coefficientFields lists, per guarded model type, the fields that feed
-// compiled plans.
+// coefficientFields lists, per guarded type, the fields that feed compiled
+// plans: the core's mapping and resolved-line table (written through the
+// embedding models too) and the KW coefficients the table derives from.
 var coefficientFields = map[string]map[string]bool{
+	"kernelWise": {"Mapping": true, "lines": true},
 	"KWModel": {
 		"Classif": true, "Groups": true, "GroupOf": true, "Mapping": true,
-		"Families": true, "ClassFallback": true,
+		"Families": true, "ClassFallback": true, "lines": true,
 	},
-	"IGKWModel": {
-		"Lines": true, "DriverOf": true, "Mapping": true,
-		"FamilyLines": true, "FamilyDriver": true, "ClassFallback": true,
-	},
+	"IGKWModel": {"Mapping": true, "lines": true},
 }
 
 // blessedName matches functions allowed to mutate coefficients: the fitting
@@ -88,8 +88,9 @@ func (a *Staleplan) Run(p *Pass) []Finding {
 	return findings
 }
 
-// guardedModelName returns "KWModel"/"IGKWModel" when expr's type (after
-// pointer indirection) is a guarded model type, else "".
+// guardedModelName returns the guarded type's name ("KWModel", "IGKWModel"
+// or "kernelWise") when expr's type (after pointer indirection) is one, else
+// "".
 func guardedModelName(p *Pass, expr ast.Expr) string {
 	tv, ok := p.Info.Types[expr]
 	if !ok {

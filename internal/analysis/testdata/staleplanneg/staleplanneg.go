@@ -2,10 +2,16 @@
 // analyzer: blessed mutators, non-coefficient fields and unguarded types.
 package staleplanneg
 
+// kernelWise mirrors the embedded predictor core.
+type kernelWise struct {
+	lines map[string]int
+}
+
 // KWModel mirrors the guarded model.
 type KWModel struct {
 	Classif  map[string]int
 	Training string
+	kernelWise
 }
 
 // FitKW is blessed by the Fit prefix.
@@ -20,9 +26,17 @@ func (m *KWModel) ObserveRecords() {
 	m.Classif = nil
 }
 
-// rebuildFromAccumulators is blessed by exact name.
+// rebuildFromAccumulators is blessed by exact name; it rebuilds the core's
+// table too.
 func (m *KWModel) rebuildFromAccumulators() {
 	m.Classif = map[string]int{}
+	m.lines = map[string]int{}
+}
+
+// load builds a fresh model, table included, with a composite literal: a
+// new model has no cache to go stale.
+func load() *KWModel {
+	return &KWModel{kernelWise: kernelWise{lines: map[string]int{}}}
 }
 
 // SetTraining writes a non-coefficient field: no plan depends on it.

@@ -2,10 +2,17 @@
 // analyzer: coefficient writes outside the blessed mutators.
 package staleplanpos
 
+// kernelWise mirrors the embedded predictor core and its resolved-line
+// table.
+type kernelWise struct {
+	lines map[string]int
+}
+
 // KWModel mirrors the guarded model's coefficient fields.
 type KWModel struct {
 	Classif map[string]int
 	Groups  []int
+	kernelWise
 }
 
 // FitKW is blessed (Fit prefix); its writes are allowed.
@@ -30,4 +37,14 @@ func (m *KWModel) SetGroups(gs []int) {
 // violation.
 func seedFromAccumulators(m *KWModel) {
 	m.Groups = append(m.Groups, 1)
+}
+
+// patchLines writes the core's table through the embedding model.
+func patchLines(m *KWModel) {
+	m.lines = nil
+}
+
+// setLines writes the table on the core itself.
+func (k *kernelWise) setLines(l map[string]int) {
+	k.lines = l
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dnn"
 	"repro/internal/gpu"
 	"repro/internal/sched"
+	"repro/internal/splitmix"
 )
 
 // Cluster-scale scheduling: the case-study-3 pattern ("models as a fast
@@ -132,17 +133,13 @@ func ClusterSchedule(l *Lab, nTasks int, seed int64) (*ClusterScheduleResult, er
 		}
 	}
 
-	// Seeded task sampling: a splitmix-style walk over (network, batch)
-	// pairs, deterministic in the seed alone.
+	// Seeded task sampling: a splitmix64 walk over (network, batch) pairs,
+	// deterministic in the seed alone.
 	taskNet := make([]int, nTasks)
 	taskBatch := make([]int, nTasks)
-	state := uint64(seed)
+	rng := splitmix.New(uint64(seed))
 	for i := range taskNet {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
+		z := rng.Next()
 		taskNet[i] = int(z % uint64(len(nets)))
 		taskBatch[i] = clusterBatches[(z>>32)%uint64(len(clusterBatches))]
 	}

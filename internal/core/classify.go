@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/regression"
+	"repro/internal/units"
 )
 
 // Driver identifies which layer-level variable a kernel's execution time is
@@ -25,13 +26,19 @@ func Drivers() []Driver { return []Driver{DriverInput, DriverOperation, DriverOu
 
 // driverX extracts the candidate regressor for a kernel record.
 func driverX(r dataset.KernelRecord, d Driver) float64 {
+	return driverValue(d, r.LayerFLOPs, r.LayerInputElems, r.LayerOutputElems)
+}
+
+// driverValue picks driver d's variable from the layer-level candidates;
+// unknown drivers take the output size.
+func driverValue(d Driver, layerFLOPs units.FLOPs, layerInElems, layerOutElems int64) float64 {
 	switch d {
 	case DriverInput:
-		return float64(r.LayerInputElems)
+		return float64(layerInElems)
 	case DriverOperation:
-		return float64(r.LayerFLOPs)
+		return float64(layerFLOPs)
 	default:
-		return float64(r.LayerOutputElems)
+		return float64(layerOutElems)
 	}
 }
 
@@ -155,12 +162,7 @@ func FamilyOf(name string) string {
 // ClassifyFamilies runs the same R²-based classification at kernel-family
 // granularity, pooling all size variants of each family.
 func ClassifyFamilies(recs []dataset.KernelRecord) map[string]Classification {
-	grouped := make([]dataset.KernelRecord, len(recs))
-	copy(grouped, recs)
-	for i := range grouped {
-		grouped[i].Kernel = FamilyOf(grouped[i].Kernel)
-	}
-	return ClassifyKernels(grouped)
+	return ClassifyKernels(familyRecords(recs))
 }
 
 // Group is a cluster of kernels sharing one regression model (§5.4:

@@ -4,14 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cache"
 	"repro/internal/dataset"
-	"repro/internal/dnn"
 	"repro/internal/gpu"
-	"repro/internal/kernels"
-	"repro/internal/obs"
 	"repro/internal/regression"
-	"repro/internal/units"
 )
 
 // IGKWModel is the Inter-GPU Kernel-Wise model of §5.5: it predicts a GPU
@@ -38,23 +33,11 @@ type IGKWModel struct {
 	// TrainBatch is the batch size of the training measurements.
 	TrainBatch int
 
-	// Lines holds the per-kernel time regressions resolved for the target.
-	Lines map[string]regression.Line
-	// DriverOf holds each kernel's (majority-vote) driver class.
-	DriverOf map[string]Driver
-	// Mapping is the union layer-signature→kernel-list table.
-	Mapping map[string][]string
-	// FamilyLines and FamilyDriver hold bandwidth-scaled family-level models
-	// for kernels too sparse (or unseen) to carry their own.
-	FamilyLines  map[string]regression.Line
-	FamilyDriver map[string]Driver
-	// ClassFallback holds per-driver pooled lines resolved for the target.
-	ClassFallback map[Driver]regression.Line
-
-	// plans caches compiled prediction plans per network (see plan.go),
-	// making the bandwidth design-space sweeps allocation-free per query.
-	// Unexported, so persistence never sees it.
-	plans cache.Sharded[planKey, *Plan]
+	// kernelWise holds the union mapping table, the per-kernel,
+	// per-family and per-class lines resolved for the target, and the
+	// prediction paths. IGKW models are inference models: Training stays
+	// false.
+	kernelWise
 }
 
 // IGKWBase is the target-independent part of the inter-GPU model: per-GPU
@@ -94,12 +77,7 @@ func FitIGKWBase(ds *dataset.Dataset, trainGPUs []gpu.Spec, trainBatch int) (*IG
 	// Family-level classifications, for sparse/unseen kernels.
 	b.famFits = make([]gpuFit, len(b.fits))
 	for i, f := range b.fits {
-		famRecs := make([]dataset.KernelRecord, len(f.records))
-		copy(famRecs, f.records)
-		for j := range famRecs {
-			famRecs[j].Kernel = FamilyOf(famRecs[j].Kernel)
-		}
-		b.famFits[i] = gpuFit{spec: f.spec, classif: ClassifyFamilies(f.records), records: famRecs}
+		b.famFits[i] = gpuFit{spec: f.spec, classif: ClassifyFamilies(f.records), records: familyRecords(f.records)}
 	}
 	return b, nil
 }
@@ -128,21 +106,10 @@ func FitIGKW(ds *dataset.Dataset, trainGPUs []gpu.Spec, target gpu.Spec, trainBa
 // hypothetical) target GPU from its theoretical bandwidth.
 func (b *IGKWBase) Resolve(target gpu.Spec) (*IGKWModel, error) {
 	fits := b.fits
-	trainBatch := b.trainBatch
-
-	m := &IGKWModel{
-		Target:        target,
-		TrainBatch:    trainBatch,
-		Lines:         map[string]regression.Line{},
-		DriverOf:      map[string]Driver{},
-		Mapping:       map[string][]string{},
-		FamilyLines:   map[string]regression.Line{},
-		FamilyDriver:  map[string]Driver{},
-		ClassFallback: map[Driver]regression.Line{},
-	}
-	m.TrainGPUs = b.TrainGPUNames()
-	for sig, ks := range b.mapping {
-		m.Mapping[sig] = ks
+	lines := lineTable{
+		kernels:  map[string]kernelLine{},
+		families: map[string]kernelLine{},
+		classes:  map[Driver]regression.Line{},
 	}
 
 	// Kernel union.
@@ -159,8 +126,7 @@ func (b *IGKWBase) Resolve(target gpu.Spec) (*IGKWModel, error) {
 		if !ok {
 			continue // fall through to family/class fallback at prediction time
 		}
-		m.DriverOf[k] = driver
-		m.Lines[k] = line
+		lines.kernels[k] = kernelLine{line: line, driver: driver}
 	}
 
 	// Family-level bandwidth-scaled models, for sparse/unseen kernels.
@@ -174,26 +140,22 @@ func (b *IGKWBase) Resolve(target gpu.Spec) (*IGKWModel, error) {
 	for fam := range famSet {
 		driver := majorityDriver(famFits, fam)
 		if line, ok := bandwidthScaledLine(famFits, fam, driver, target); ok {
-			m.FamilyDriver[fam] = driver
-			m.FamilyLines[fam] = line
+			lines.families[fam] = kernelLine{line: line, driver: driver}
 		}
 	}
 
-	// Per-driver pooled fallbacks, themselves bandwidth-scaled.
+	// Per-driver pooled fallbacks, themselves bandwidth-scaled from each
+	// training GPU's pooled class lines (a degenerate pool has slope 0 and
+	// is skipped).
+	pools := make([]map[Driver]regression.Line, len(fits))
+	for i, f := range fits {
+		pools[i] = classFallbacks(f.classif, f.records)
+	}
 	for _, d := range Drivers() {
 		var bws, rates, intercepts []float64
-		for _, f := range fits {
-			var xs, ys []float64
-			for _, r := range f.records {
-				c, ok := f.classif[r.Kernel]
-				if !ok || c.Driver != d {
-					continue
-				}
-				xs = append(xs, driverX(r, d))
-				ys = append(ys, float64(r.Seconds))
-			}
-			line, err := regression.Fit(xs, ys)
-			if err != nil || line.Slope <= 0 {
+		for i, f := range fits {
+			line := pools[i][d]
+			if line.Slope <= 0 {
 				continue
 			}
 			bws = append(bws, f.spec.MemBWGBps)
@@ -201,12 +163,23 @@ func (b *IGKWBase) Resolve(target gpu.Spec) (*IGKWModel, error) {
 			intercepts = append(intercepts, line.Intercept)
 		}
 		if resolved, ok := resolveRate(bws, rates, intercepts, target.MemBWGBps); ok {
-			m.ClassFallback[d] = resolved
+			lines.classes[d] = resolved
 		}
 	}
 
-	if len(m.Lines) == 0 {
+	if len(lines.kernels) == 0 {
 		return nil, fmt.Errorf("core: IGKW model: no kernel observed with a usable slope on any training GPU")
+	}
+	m := &IGKWModel{
+		TrainGPUs:  b.TrainGPUNames(),
+		Target:     target,
+		TrainBatch: b.trainBatch,
+		kernelWise: kernelWise{
+			Mapping: cloneMapping(b.mapping),
+			lines:   lines,
+			gpu:     target.Name,
+			kind:    kindIGKWModel,
+		},
 	}
 	m.plans.RegisterMetrics("core_igkw_plan_cache")
 	return m, nil
@@ -323,129 +296,5 @@ func resolveRate(bws, rates, intercepts []float64, targetBW float64) (regression
 	}, true
 }
 
-// Name implements Predictor.
-func (m *IGKWModel) Name() string { return "IGKW" }
-
 // GPUName implements Predictor; it reports the *target* GPU.
 func (m *IGKWModel) GPUName() string { return m.Target.Name }
-
-// PredictKernel predicts one kernel invocation's duration on the target GPU.
-func (m *IGKWModel) PredictKernel(name string, layerFLOPs units.FLOPs, layerInElems, layerOutElems int64) units.Seconds {
-	x := func(d Driver) float64 {
-		switch d {
-		case DriverInput:
-			return float64(layerInElems)
-		case DriverOperation:
-			return float64(layerFLOPs)
-		default:
-			return float64(layerOutElems)
-		}
-	}
-	if line, ok := m.Lines[name]; ok {
-		return clampTime(units.Seconds(line.Predict(x(m.DriverOf[name]))))
-	}
-	if line, ok := m.FamilyLines[FamilyOf(name)]; ok {
-		return clampTime(units.Seconds(line.Predict(x(m.FamilyDriver[FamilyOf(name)]))))
-	}
-	d := DriverOperation
-	if layerFLOPs == 0 {
-		d = DriverOutput
-	}
-	if line, ok := m.ClassFallback[d]; ok {
-		return clampTime(units.Seconds(line.Predict(x(d))))
-	}
-	return minPrediction
-}
-
-// PredictNetwork implements Predictor for the target GPU. Like the KW model,
-// queries are served from a cached compiled plan (see plan.go): repeated
-// predictions run allocation-free, never mutate n, and are safe to issue
-// concurrently, with results bit-identical to PredictNetworkUncached.
-func (m *IGKWModel) PredictNetwork(n *dnn.Network, batch int) (units.Seconds, error) {
-	tm := obs.StartTimer(metricIGKWPredict)
-	defer tm.Stop()
-	if batch <= 0 {
-		return m.PredictNetworkUncached(n, batch)
-	}
-	key := planKey{name: n.Name, fp: networkFingerprint(n, false)}
-	p, err := m.plans.GetOrCompute(key, func() (*Plan, error) {
-		return compilePlan(n, m.Target.Name, false, m.Mapping, m.resolveKernel)
-	})
-	if err != nil {
-		return m.PredictNetworkUncached(n, batch)
-	}
-	return p.Predict(batch), nil
-}
-
-// PredictSweep predicts the network at every batch size in batches through
-// one pass over the compiled plan, bit-identical to per-batch
-// PredictNetwork calls. See KWModel.PredictSweep for the contract.
-func (m *IGKWModel) PredictSweep(n *dnn.Network, batches []int) ([]units.Seconds, error) {
-	tm := obs.StartTimer(metricSweepPredict)
-	defer tm.Stop()
-	for _, b := range batches {
-		if b <= 0 {
-			return nil, fmt.Errorf("core: IGKW sweep of %q: batch size %d must be positive", n.Name, b)
-		}
-	}
-	observeSweep(len(batches))
-	key := planKey{name: n.Name, fp: networkFingerprint(n, false)}
-	p, err := m.plans.GetOrCompute(key, func() (*Plan, error) {
-		return compilePlan(n, m.Target.Name, false, m.Mapping, m.resolveKernel)
-	})
-	if err != nil {
-		return sweepUncached(n, batches, m.PredictNetworkUncached)
-	}
-	return p.PredictSweep(batches), nil
-}
-
-// PredictNetworkUncached is the reference prediction path (shape inference
-// plus per-kernel lookups on every call); plans are tested against it.
-func (m *IGKWModel) PredictNetworkUncached(n *dnn.Network, batch int) (units.Seconds, error) {
-	if err := n.Infer(batch); err != nil {
-		return 0, err
-	}
-	var total units.Seconds
-	for _, l := range n.Layers {
-		ks := kernels.ForLayer(l)
-		if names, ok := m.Mapping[l.Signature()]; ok && len(names) == len(ks) {
-			for i := range ks {
-				ks[i].Name = names[i]
-			}
-		}
-		for _, k := range ks {
-			total += m.PredictKernel(k.Name, units.FLOPs(k.LayerFLOPs), k.LayerInputElems, k.LayerOutputElems)
-		}
-	}
-	return total, nil
-}
-
-// resolveKernel mirrors PredictKernel's fallback chain (kernel line → family
-// line → class fallback → minimum floor) as a compile-time resolution. The
-// zero line in the last case predicts 0 at every x, which clamps to exactly
-// the minPrediction literal PredictKernel returns.
-func (m *IGKWModel) resolveKernel(name string, flopsZero bool) (regression.Line, Driver) {
-	if line, ok := m.Lines[name]; ok {
-		return line, m.DriverOf[name]
-	}
-	if line, ok := m.FamilyLines[FamilyOf(name)]; ok {
-		return line, m.FamilyDriver[FamilyOf(name)]
-	}
-	d := DriverOperation
-	if flopsZero {
-		d = DriverOutput
-	}
-	if line, ok := m.ClassFallback[d]; ok {
-		return line, d
-	}
-	return regression.Line{}, d
-}
-
-// PredictRecords predicts from structural kernel records (durations ignored).
-func (m *IGKWModel) PredictRecords(recs []dataset.KernelRecord) units.Seconds {
-	var total units.Seconds
-	for _, r := range recs {
-		total += m.PredictKernel(r.Kernel, r.LayerFLOPs, r.LayerInputElems, r.LayerOutputElems)
-	}
-	return total
-}

@@ -1,17 +1,12 @@
 package core
 
 import (
-	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 
-	"repro/internal/cache"
 	"repro/internal/dataset"
-	"repro/internal/dnn"
-	"repro/internal/kernels"
-	"repro/internal/obs"
 	"repro/internal/regression"
-	"repro/internal/units"
 )
 
 // KWModel is the Kernel-Wise model of §5.4. It consists of
@@ -39,8 +34,6 @@ type KWModel struct {
 	// kernel→group index.
 	Groups  []Group
 	GroupOf map[string]int
-	// Mapping is the layer-signature→kernel-list look-up table.
-	Mapping map[string][]string
 	// Families holds one pooled classification per kernel family (tile
 	// variants merged), used for kernels with too few training observations
 	// to support their own regression, and for kernel names never seen in
@@ -49,19 +42,14 @@ type KWModel struct {
 	// ClassFallback holds one pooled regression per driver class, the last
 	// resort for kernels whose family is also unknown.
 	ClassFallback map[Driver]regression.Line
-	// Training marks a training-step model (see KWOptions.Training).
-	Training bool
+
+	// kernelWise holds the mapping table, the training flag, the
+	// resolved-line table derived from the fields above (kwLines) and the
+	// prediction paths.
+	kernelWise
 
 	// online holds the incremental-learning state (see online.go).
 	online *onlineState
-
-	// plans caches compiled prediction plans per network and layerPlans
-	// caches resolved per-layer term lists (see plan.go). Both make repeated
-	// predictions allocation-free and safe for concurrent use; ObserveRecords
-	// invalidates them. Zero values are ready; the fields are unexported so
-	// persistence never sees them.
-	plans      cache.Sharded[planKey, *Plan]
-	layerPlans cache.Sharded[layerKey, []layerTerm]
 }
 
 // KWOptions expose the kernel-wise model's design choices for ablation
@@ -122,27 +110,56 @@ func fitKWRecords(recs []dataset.KernelRecord, mapping map[string][]string, gpuN
 		groups, groupOf = GroupKernels(classif, recs)
 	}
 
+	families := ClassifyFamilies(recs)
+	if opt.ForceDriver != "" {
+		families = forceDriver(families, familyRecords(recs), opt.ForceDriver)
+	}
+	if opt.DisableFamilyFallback {
+		families = map[string]Classification{}
+	}
+	classes := classFallbacks(classif, recs)
 	m := &KWModel{
 		GPU:           gpuName,
 		TrainBatch:    trainBatch,
 		Classif:       classif,
 		Groups:        groups,
 		GroupOf:       groupOf,
-		Mapping:       mapping,
-		Families:      ClassifyFamilies(recs),
-		ClassFallback: classFallbacks(classif, recs),
+		Families:      families,
+		ClassFallback: classes,
+		kernelWise: kernelWise{
+			Mapping:  mapping,
+			Training: opt.Training,
+			lines:    kwLines(groups, groupOf, families, classes),
+			gpu:      gpuName,
+		},
 	}
-	if opt.ForceDriver != "" {
-		m.Families = forceDriver(m.Families, familyRecords(recs), opt.ForceDriver)
-	}
-	if opt.DisableFamilyFallback {
-		m.Families = map[string]Classification{}
-	}
-	m.Training = opt.Training
 	m.initOnline(recs)
 	m.plans.RegisterMetrics("core_kw_plan_cache")
 	m.layerPlans.RegisterMetrics("core_kw_layer_cache")
 	return m, nil
+}
+
+// kwLines derives the resolved-line table from the KW coefficients: each
+// grouped kernel resolves to its group's line, families with enough
+// observations to their pooled line, and the class tier to the pooled
+// class lines.
+func kwLines(groups []Group, groupOf map[string]int, families map[string]Classification,
+	classes map[Driver]regression.Line) lineTable {
+
+	t := lineTable{
+		kernels:  make(map[string]kernelLine, len(groupOf)),
+		families: make(map[string]kernelLine, len(families)),
+		classes:  maps.Clone(classes),
+	}
+	for name, gi := range groupOf {
+		t.kernels[name] = kernelLine{line: groups[gi].Line, driver: groups[gi].Driver}
+	}
+	for fam, c := range families {
+		if c.N >= MinKernelObservations {
+			t.families[fam] = kernelLine{line: c.Line, driver: c.Driver}
+		}
+	}
+	return t
 }
 
 // forceDriver refits every kernel's line on a single imposed driver.
@@ -249,9 +266,6 @@ func buildMapping(recs []dataset.KernelRecord) map[string][]string {
 	return mapping
 }
 
-// Name implements Predictor.
-func (m *KWModel) Name() string { return "KW" }
-
 // GPUName implements Predictor.
 func (m *KWModel) GPUName() string { return m.GPU }
 
@@ -262,225 +276,6 @@ func (m *KWModel) ModelCount() int { return len(m.Groups) }
 
 // KernelCount returns the number of distinct kernels classified.
 func (m *KWModel) KernelCount() int { return len(m.Classif) }
-
-// PredictKernel predicts one kernel invocation's duration from its name and
-// the layer-level driver candidates.
-func (m *KWModel) PredictKernel(name string, layerFLOPs units.FLOPs, layerInElems, layerOutElems int64) units.Seconds {
-	x := func(d Driver) float64 {
-		switch d {
-		case DriverInput:
-			return float64(layerInElems)
-		case DriverOperation:
-			return float64(layerFLOPs)
-		default:
-			return float64(layerOutElems)
-		}
-	}
-	if gi, ok := m.GroupOf[name]; ok {
-		g := m.Groups[gi]
-		return clampTime(units.Seconds(g.Line.Predict(x(g.Driver))))
-	}
-	// Sparse or unseen kernel: fall back to its family's pooled model.
-	if c, ok := m.Families[FamilyOf(name)]; ok && c.N >= MinKernelObservations {
-		return clampTime(units.Seconds(c.Line.Predict(x(c.Driver))))
-	}
-	// Unknown family: guess the class from an operation-first heuristic and
-	// use the pooled class fallback. Kernels carrying FLOPs are treated as
-	// main kernels; zero-FLOPs kernels as output-driven data movement.
-	d := DriverOperation
-	if layerFLOPs == 0 {
-		d = DriverOutput
-	}
-	return clampTime(units.Seconds(m.ClassFallback[d].Predict(x(d))))
-}
-
-// kernelsForLayer resolves a layer to its kernel list: first through the
-// learned mapping table; for signatures never observed in training, through
-// the deterministic library-dispatch rules (the same rules the mapping table
-// was traced from — cuDNN's dispatch is public behaviour, not a measured
-// quantity).
-func (m *KWModel) kernelsForLayer(l *dnn.Layer) []kernels.Kernel {
-	var ks []kernels.Kernel
-	if m.Training {
-		ks = kernels.ForLayerTraining(l)
-	} else {
-		ks = kernels.ForLayer(l)
-	}
-	if names, ok := m.Mapping[l.Signature()]; ok && len(names) == len(ks) {
-		// Use the traced names (they match the dispatch rules by
-		// construction; the check guards against stale tables).
-		for i := range ks {
-			ks[i].Name = names[i]
-		}
-	}
-	return ks
-}
-
-// PredictNetwork implements Predictor: the sum over the network's kernel
-// list of the per-kernel predictions. Queries are served from a compiled
-// prediction plan (see plan.go) cached per network, so repeated predictions
-// at any batch size run allocation-free, never mutate n, and are safe to
-// issue from many goroutines. Results are bit-identical to
-// PredictNetworkUncached.
-//
-//dnnperf:allocfree
-func (m *KWModel) PredictNetwork(n *dnn.Network, batch int) (units.Seconds, error) {
-	tm := obs.StartTimer(metricKWPredict)
-	defer tm.Stop()
-	if batch <= 0 {
-		// Route through the uncached path for its validation error.
-		//lint:ignore allocfree the invalid-batch path is off the steady state by definition
-		return m.PredictNetworkUncached(n, batch)
-	}
-	p, err := m.planFor(n)
-	if err != nil {
-		// Compilation fails only for networks the uncached path also rejects;
-		// take it so callers see the familiar shape-inference errors.
-		//lint:ignore allocfree the compile-failure path is off the steady state by definition
-		return m.PredictNetworkUncached(n, batch)
-	}
-	return p.Predict(batch), nil
-}
-
-// PredictSweep predicts the network at every batch size in batches, in
-// input order, through one pass over the compiled plan. Results are
-// bit-identical to calling PredictNetwork per batch size; the win is that
-// the per-call overhead (fingerprint, cache lookup, timer) is paid once for
-// the whole sweep and the plan's segments stay hot across batch sizes. All
-// batch sizes must be positive. If plan compilation fails the sweep falls
-// back to the uncached path, mirroring PredictNetwork.
-func (m *KWModel) PredictSweep(n *dnn.Network, batches []int) ([]units.Seconds, error) {
-	tm := obs.StartTimer(metricSweepPredict)
-	defer tm.Stop()
-	for _, b := range batches {
-		if b <= 0 {
-			return nil, fmt.Errorf("core: KW sweep of %q: batch size %d must be positive", n.Name, b)
-		}
-	}
-	observeSweep(len(batches))
-	p, err := m.planFor(n)
-	if err != nil {
-		return sweepUncached(n, batches, m.PredictNetworkUncached)
-	}
-	return p.PredictSweep(batches), nil
-}
-
-// PredictNetworkUncached is the reference prediction path: shape-infer the
-// network at the batch size (mutating n) and sum per-kernel predictions. It
-// is the behavior PredictNetwork had before plan compilation and remains the
-// ground truth plans are tested against.
-func (m *KWModel) PredictNetworkUncached(n *dnn.Network, batch int) (units.Seconds, error) {
-	if err := n.Infer(batch); err != nil {
-		return 0, err
-	}
-	var total units.Seconds
-	for _, l := range n.Layers {
-		for _, k := range m.kernelsForLayer(l) {
-			total += m.PredictKernel(k.Name, units.FLOPs(k.LayerFLOPs), k.LayerInputElems, k.LayerOutputElems)
-		}
-	}
-	return total, nil
-}
-
-// planFor returns the cached compiled plan for the network, compiling it on
-// first use. Concurrent callers for the same network share one compilation.
-// The cache hit path is allocation-free; the closure below only costs (and
-// only runs) on a compile miss.
-//
-//dnnperf:allocfree
-func (m *KWModel) planFor(n *dnn.Network) (*Plan, error) {
-	key := planKey{name: n.Name, fp: networkFingerprint(n, m.Training)}
-	//lint:ignore allocfree the GetOrCompute closure allocates only on the compile miss path
-	return m.plans.GetOrCompute(key, func() (*Plan, error) {
-		return m.CompilePlan(n)
-	})
-}
-
-// CompiledPlan returns the model's cached compiled plan for the network,
-// compiling it on first use — the exact plan PredictNetwork executes.
-// Exposed so callers that attribute latency per stage (the serve tracing
-// path) can time compile and predict separately while producing
-// bit-identical predictions.
-func (m *KWModel) CompiledPlan(n *dnn.Network) (*Plan, error) { return m.planFor(n) }
-
-// CompilePlan compiles a standalone prediction plan for the network without
-// touching the model's plan cache. The input network is never mutated.
-func (m *KWModel) CompilePlan(n *dnn.Network) (*Plan, error) {
-	return compilePlan(n, m.GPU, m.Training, m.Mapping, m.resolveKernel)
-}
-
-// resolveKernel maps a kernel name to the concrete regression line and driver
-// PredictKernel would use — the same three-tier fallback (group → family →
-// class), resolved once at plan-compile time.
-func (m *KWModel) resolveKernel(name string, flopsZero bool) (regression.Line, Driver) {
-	if gi, ok := m.GroupOf[name]; ok {
-		g := m.Groups[gi]
-		return g.Line, g.Driver
-	}
-	if c, ok := m.Families[FamilyOf(name)]; ok && c.N >= MinKernelObservations {
-		return c.Line, c.Driver
-	}
-	d := DriverOperation
-	if flopsZero {
-		d = DriverOutput
-	}
-	return m.ClassFallback[d], d
-}
-
-// launchCount returns the number of kernels one batch of the network
-// dispatches, read off the cached plan (the count is batch-invariant: batch
-// size changes kernel *names*, never how many a layer launches). Returns 0
-// for networks that fail to compile.
-func (m *KWModel) launchCount(n *dnn.Network) int {
-	p, err := m.planFor(n)
-	if err != nil {
-		return 0
-	}
-	return p.EntryCount()
-}
-
-// PredictLayerTime predicts one layer's execution time: the sum of its
-// kernels' predictions. The layer must have inferred shapes. This is the
-// per-layer granularity the disaggregated-memory case study schedules with.
-// Resolved (line, driver value) terms are cached per layer signature, so the
-// scheduling loops that call this per layer per configuration pay the kernel
-// resolution once.
-func (m *KWModel) PredictLayerTime(l *dnn.Layer) units.Seconds {
-	key := layerKeyFor(l, m.Training)
-	terms, err := m.layerPlans.GetOrCompute(key, func() ([]layerTerm, error) {
-		ks := m.kernelsForLayer(l)
-		out := make([]layerTerm, len(ks))
-		for i, k := range ks {
-			line, driver := m.resolveKernel(k.Name, k.LayerFLOPs == 0)
-			var x float64
-			switch driver {
-			case DriverInput:
-				x = float64(k.LayerInputElems)
-			case DriverOperation:
-				x = float64(k.LayerFLOPs)
-			default:
-				x = float64(k.LayerOutputElems)
-			}
-			out[i] = layerTerm{line: line, x: x}
-		}
-		return out, nil
-	})
-	if err != nil {
-		return 0 // unreachable: the compute function never errors
-	}
-	return predictTerms(terms)
-}
-
-// PredictRecords predicts the end-to-end time implied by a set of kernel
-// records (their structural fields only — durations are ignored). Useful
-// for evaluating the regression layer in isolation from the mapping table.
-func (m *KWModel) PredictRecords(recs []dataset.KernelRecord) units.Seconds {
-	var total units.Seconds
-	for _, r := range recs {
-		total += m.PredictKernel(r.Kernel, r.LayerFLOPs, r.LayerInputElems, r.LayerOutputElems)
-	}
-	return total
-}
 
 // GroupSummaries renders a sorted per-group description for reports.
 func (m *KWModel) GroupSummaries() []string {

@@ -97,7 +97,7 @@ func classifyFromAccumulators(name string, acc *[3]regression.Accumulator) Class
 
 // rebuildFromAccumulators reconstructs classification, groups and fallbacks
 // from the online statistics — the same structure FitKW derives from raw
-// records. Kernels the model knows from fit time but whose statistics are
+// records — and the resolved-line table derived from them. Kernels the model knows from fit time but whose statistics are
 // not in the accumulators (possible after deserialization, where only the
 // fitted parameters survive) keep their existing models as frozen singleton
 // groups, so updating is never destructive.
@@ -166,6 +166,7 @@ func (m *KWModel) rebuildFromAccumulators() {
 			m.Mapping[sig] = st.mapping[sig]
 		}
 	}
+	m.lines = kwLines(m.Groups, m.GroupOf, m.Families, m.ClassFallback)
 }
 
 // groupFromAccumulators mirrors GroupKernels over accumulator statistics.

@@ -51,7 +51,8 @@ type kwModelJSON struct {
 	Training      bool                       `json:"training"`
 }
 
-// igkwModelJSON mirrors IGKWModel's exported state.
+// igkwModelJSON is IGKWModel's serialized form: the resolved-line table
+// as parallel line and driver maps per tier.
 type igkwModelJSON struct {
 	TrainGPUs     []string                   `json:"train_gpus"`
 	Target        gpu.Spec                   `json:"target"`
@@ -81,12 +82,13 @@ func Save(w io.Writer, model Predictor) error {
 			Training: m.Training,
 		}
 	case *IGKWModel:
-		kind, payload = kindIGKW, igkwModelJSON{
+		j := igkwModelJSON{
 			TrainGPUs: m.TrainGPUs, Target: m.Target, TrainBatch: m.TrainBatch,
-			Lines: m.Lines, DriverOf: m.DriverOf, Mapping: m.Mapping,
-			FamilyLines: m.FamilyLines, FamilyDriver: m.FamilyDriver,
-			ClassFallback: m.ClassFallback,
+			Mapping: m.Mapping, ClassFallback: m.lines.classes,
 		}
+		j.Lines, j.DriverOf = splitLines(m.lines.kernels)
+		j.FamilyLines, j.FamilyDriver = splitLines(m.lines.families)
+		kind, payload = kindIGKW, j
 	default:
 		return fmt.Errorf("core: cannot serialize model type %T", model)
 	}
@@ -130,9 +132,12 @@ func Load(r io.Reader) (Predictor, error) {
 		}
 		return &KWModel{
 			GPU: j.GPU, TrainBatch: j.TrainBatch, Classif: j.Classif,
-			Groups: j.Groups, GroupOf: j.GroupOf, Mapping: j.Mapping,
+			Groups: j.Groups, GroupOf: j.GroupOf,
 			Families: j.Families, ClassFallback: j.ClassFallback,
-			Training: j.Training,
+			kernelWise: kernelWise{
+				Mapping: j.Mapping, Training: j.Training, gpu: j.GPU,
+				lines: kwLines(j.Groups, j.GroupOf, j.Families, j.ClassFallback),
+			},
 		}, nil
 	case kindIGKW:
 		var j igkwModelJSON
@@ -141,12 +146,37 @@ func Load(r io.Reader) (Predictor, error) {
 		}
 		return &IGKWModel{
 			TrainGPUs: j.TrainGPUs, Target: j.Target, TrainBatch: j.TrainBatch,
-			Lines: j.Lines, DriverOf: j.DriverOf, Mapping: j.Mapping,
-			FamilyLines: j.FamilyLines, FamilyDriver: j.FamilyDriver,
-			ClassFallback: j.ClassFallback,
+			kernelWise: kernelWise{
+				Mapping: j.Mapping, gpu: j.Target.Name, kind: kindIGKWModel,
+				lines: lineTable{
+					kernels:  joinLines(j.Lines, j.DriverOf),
+					families: joinLines(j.FamilyLines, j.FamilyDriver),
+					classes:  j.ClassFallback,
+				},
+			},
 		}, nil
 	}
 	return nil, fmt.Errorf("core: unknown model kind %q", env.Kind)
+}
+
+// splitLines converts resolved table entries to the envelope's parallel
+// line and driver maps.
+func splitLines(in map[string]kernelLine) (map[string]regression.Line, map[string]Driver) {
+	lines := make(map[string]regression.Line, len(in))
+	drivers := make(map[string]Driver, len(in))
+	for name, kl := range in {
+		lines[name], drivers[name] = kl.line, kl.driver
+	}
+	return lines, drivers
+}
+
+// joinLines is splitLines' inverse.
+func joinLines(lines map[string]regression.Line, drivers map[string]Driver) map[string]kernelLine {
+	out := make(map[string]kernelLine, len(lines))
+	for name, line := range lines {
+		out[name] = kernelLine{line: line, driver: drivers[name]}
+	}
+	return out
 }
 
 // SaveFile writes a model to path.

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -156,5 +158,73 @@ func layerFromKernel(r dataset.KernelRecord) dataset.LayerRecord {
 		LayerIndex: r.LayerIndex, Kind: r.LayerKind,
 		FLOPs: r.LayerFLOPs, InputElems: r.LayerInputElems,
 		OutputElems: r.LayerOutputElems, Seconds: r.Seconds,
+	}
+}
+
+// TestLoadSavedModelFiles loads a KW and an IGKW model file written by an
+// earlier release of Save (testdata/, with the predictions that release
+// made for them) and checks that both prediction paths reproduce those
+// predictions bit for bit and that re-saving reproduces the files byte for
+// byte.
+func TestLoadSavedModelFiles(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "model_predictions.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := map[string]Predictor{}
+	for _, kind := range []string{"kw", "igkw"} {
+		path := filepath.Join("testdata", kind+"_model.json")
+		m, err := LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[kind] = m
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := Save(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s: re-saved model differs from %s", kind, path)
+		}
+	}
+	nets := map[string]*dnn.Network{}
+	for _, n := range zooSample() {
+		nets[n.Name] = n
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	for _, line := range lines {
+		var kind, name string
+		var batch int
+		var bits uint64
+		if _, err := fmt.Sscanf(line, "%s %s %d %x", &kind, &name, &batch, &bits); err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		n, ok := nets[name]
+		if !ok {
+			t.Fatalf("%s is not in the zoo sample", name)
+		}
+		m := models[kind].(interface {
+			PredictNetwork(*dnn.Network, int) (units.Seconds, error)
+			PredictNetworkUncached(*dnn.Network, int) (units.Seconds, error)
+		})
+		for path, predict := range map[string]func(*dnn.Network, int) (units.Seconds, error){
+			"plan": m.PredictNetwork, "uncached": m.PredictNetworkUncached,
+		} {
+			got, err := predict(n, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(float64(got)) != bits {
+				t.Errorf("%s %s@%d (%s): %v, saved model predicted %v",
+					kind, name, batch, path, got, math.Float64frombits(bits))
+			}
+		}
+	}
+	if len(lines) == 0 {
+		t.Fatal("no recorded predictions")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,6 +62,30 @@ type Plan struct {
 	// the end offset of entry i's segments within segs.
 	segs     []planSeg
 	entryEnd []int32
+
+	// MaxBatch is the largest batch size the plan predicts exactly: the
+	// largest b at which every segment's driver value xPer·b + xConst stays
+	// ≤ 2^53, so it is exact in both int64 and float64. Above it the value
+	// first rounds and then overflows, and the plan and the reference path
+	// no longer agree. Predict does not check it; CheckBatch does.
+	MaxBatch int
+}
+
+// maxExactDriver is the largest driver value both int64 and float64 hold
+// exactly (2^53).
+const maxExactDriver = 1 << 53
+
+// CheckBatch returns an error when batch exceeds MaxBatch. Callers that run
+// Predict directly check it first; PredictNetwork and PredictSweep do.
+//
+//dnnperf:allocfree
+func (p *Plan) CheckBatch(batch int) error {
+	if batch <= p.MaxBatch {
+		return nil
+	}
+	//lint:ignore allocfree the over-limit error renders only for rejected batches
+	return fmt.Errorf("core: %s on %s: batch size %d exceeds the largest exactly predictable batch %d",
+		p.Network, p.GPU, batch, p.MaxBatch)
 }
 
 // EntryCount returns the number of kernel invocations the plan sums over.
@@ -145,12 +170,6 @@ func (p *Plan) PredictSweepInto(dst []units.Seconds, batches []int) {
 	}
 }
 
-// kernelResolve maps a kernel name (plus whether its layer carries zero
-// FLOPs, which steers the last-resort fallback) to the concrete regression
-// line and driver the model would use — the model-specific half of plan
-// compilation.
-type kernelResolve func(name string, flopsZero bool) (regression.Line, Driver)
-
 // driverAffine holds the affine batch→value maps of one kernel's three
 // driver candidates.
 type driverAffine struct {
@@ -195,19 +214,17 @@ type distLayer struct {
 // preallocated arena reused across layers, and signature/memo keys are built
 // in reused byte buffers looked up with the map[string(buf)] idiom, so the
 // per-layer map+string churn of the naive compiler is gone.
-func compilePlan(n *dnn.Network, gpuName string, training bool,
-	mapping map[string][]string, resolve kernelResolve) (*Plan, error) {
-
+func compilePlan(n *dnn.Network, m *kernelWise) (*Plan, error) {
 	tm := obs.StartTimer(metricPlanCompile)
 	defer tm.Stop()
 	sp := obs.StartSpan("plan-compile " + n.Name)
-	sp.SetArg("gpu", gpuName)
+	sp.SetArg("gpu", m.gpu)
 	defer sp.End()
 	metricPlanCompiles.Inc()
 
 	clone := n.Clone()
 	dispatch := kernels.ForLayer
-	if training {
+	if m.Training {
 		dispatch = kernels.ForLayerTraining
 	}
 
@@ -246,7 +263,7 @@ func compilePlan(n *dnn.Network, gpuName string, training bool,
 			bpSet[bp] = true
 		}
 	}
-	for sig := range mapping {
+	for sig := range m.Mapping {
 		if b := signatureBatch(sig); b > 0 {
 			bpSet[b] = true   // the mapping substitution can start applying here
 			bpSet[b+1] = true // ... and stops applying here
@@ -313,15 +330,15 @@ func compilePlan(n *dnn.Network, gpuName string, training bool,
 				return nil, fmt.Errorf("core: plan compile %q: kernel count changed at batch %d", n.Name, b)
 			}
 			sigBuf = l.AppendSignature(sigBuf[:0])
-			if names, ok := mapping[string(sigBuf)]; ok && len(names) == len(ks) {
+			if names, ok := m.Mapping[string(sigBuf)]; ok && len(names) == len(ks) {
 				for i := range ks {
 					ks[i].Name = names[i]
 				}
 			}
 			for k := range ks {
-				line, driver := resolve(ks[k].Name, ks[k].LayerFLOPs == 0)
-				per, cnst := affine[k].pick(driver)
-				seg := planSeg{minBatch: b, xPer: per, xConst: cnst, line: line}
+				kl := m.lines.resolve(ks[k].Name, ks[k].LayerFLOPs == 0)
+				per, cnst := affine[k].pick(kl.driver)
+				seg := planSeg{minBatch: b, xPer: per, xConst: cnst, line: kl.line}
 				if prev := kernSegs[k]; len(prev) > 0 && sameResolution(prev[len(prev)-1], seg) {
 					continue
 				}
@@ -350,7 +367,7 @@ func compilePlan(n *dnn.Network, gpuName string, training bool,
 		totalSegs += len(dists[d].segs)
 		totalEntries += len(dists[d].end)
 	}
-	p := &Plan{Network: n.Name, GPU: gpuName}
+	p := &Plan{Network: n.Name, GPU: m.gpu}
 	p.segs = make([]planSeg, 0, totalSegs)
 	p.entryEnd = make([]int32, 0, totalEntries)
 	for _, d := range repOf {
@@ -361,7 +378,24 @@ func compilePlan(n *dnn.Network, gpuName string, training bool,
 			p.entryEnd = append(p.entryEnd, base+e)
 		}
 	}
+	p.MaxBatch = maxExactBatch(p.segs)
 	return p, nil
+}
+
+// maxExactBatch returns the largest batch b at which every segment's driver
+// value xPer·b + xConst stays ≤ maxExactDriver (math.MaxInt when no value
+// grows with the batch). Driver values never decrease with the batch size,
+// so only growing segments bound it.
+func maxExactBatch(segs []planSeg) int {
+	limit := int64(math.MaxInt)
+	for _, s := range segs {
+		if s.xPer > 0 {
+			limit = min(limit, (maxExactDriver-s.xConst)/s.xPer)
+		} else if s.xConst > maxExactDriver {
+			limit = 0
+		}
+	}
+	return int(limit)
 }
 
 // appendLayerShapeKey appends an exact rendering of everything a layer's

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/dnn"
 	"repro/internal/gpu"
+	"repro/internal/obs"
 	"repro/internal/units"
 	"repro/internal/zoo"
 )
@@ -100,6 +101,43 @@ func TestIGKWPlanBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertPlanIdentity(t, m.PredictNetwork, m.PredictNetworkUncached)
+}
+
+// TestKWAndIGKWPredictAllocFree checks the steady-state PredictNetwork of
+// both kernel-wise models at 0 allocs per call against a warm plan cache,
+// with observation on (the timer path included).
+func TestKWAndIGKWPredictAllocFree(t *testing.T) {
+	ds := &dataset.Dataset{}
+	for _, g := range []gpu.Spec{gpu.A100, gpu.A40, gpu.V100} {
+		ds.Merge(plantKernelDataset(g, 3))
+	}
+	kw, err := FitKW(ds, "A100", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	igkw, err := FitIGKW(ds, []gpu.Spec{gpu.A100, gpu.A40, gpu.V100}, gpu.TitanRTX, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := obs.Enabled()
+	defer obs.SetEnabled(prev)
+	obs.SetEnabled(true)
+	net := zoo.MustResNet(50)
+	for name, m := range map[string]Predictor{"KW": kw, "IGKW": igkw} {
+		if _, err := m.PredictNetwork(net, 512); err != nil {
+			t.Fatal(err)
+		}
+		batch := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			batch = batch%512 + 1
+			if _, err := m.PredictNetwork(net, batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s PredictNetwork: %v allocs per call, want 0", name, allocs)
+		}
+	}
 }
 
 // TestKWPlanConcurrent hammers one shared model from many goroutines (run

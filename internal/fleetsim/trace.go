@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/loadgen"
+	"repro/internal/splitmix"
 )
 
 // Trace is a replayable open-loop request trace: request i arrives at
@@ -54,10 +55,10 @@ func BuildTrace(proc loadgen.Process, nNets, n int, mixSeed int64) (*Trace, erro
 		ArrivalS: make([]float64, n),
 		Net:      make([]int32, n),
 	}
-	mix := splitmix{s: uint64(mixSeed)}
+	mix := splitmix.New(uint64(mixSeed))
 	for i := 0; i < n; i++ {
 		tr.ArrivalS[i] = proc.Next()
-		tr.Net[i] = int32(mix.next() % uint64(nNets))
+		tr.Net[i] = int32(mix.Next() % uint64(nNets))
 	}
 	return tr, nil
 }

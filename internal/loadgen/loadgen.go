@@ -151,10 +151,14 @@ type SlowRequest struct {
 // requests (fleet.TraceIDHeader; spelled out to keep loadgen target-agnostic).
 const traceIDHeader = "X-Trace-Id"
 
-// Quantile returns the exact q-quantile of the recorded samples.
-func quantile(sorted []time.Duration, q float64) time.Duration {
+// Quantile returns the exact q-quantile of ascending-sorted samples by the
+// ceil-rank rule: the smallest sample with at least a q share of the samples
+// at or below it (0 for no samples). Every latency percentile the
+// repository reports — loadgen's and fleetsim's — goes through it.
+func Quantile[T any](sorted []T, q float64) T {
+	var zero T
 	if len(sorted) == 0 {
-		return 0
+		return zero
 	}
 	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
 	if idx < 0 {
@@ -266,10 +270,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	r.mu.Unlock()
 	sort.Slice(res.Slowest, func(i, j int) bool { return res.Slowest[i].Latency > res.Slowest[j].Latency })
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	res.P50 = quantile(samples, 0.50)
-	res.P90 = quantile(samples, 0.90)
-	res.P99 = quantile(samples, 0.99)
-	res.P999 = quantile(samples, 0.999)
+	res.P50 = Quantile(samples, 0.50)
+	res.P90 = Quantile(samples, 0.90)
+	res.P99 = Quantile(samples, 0.99)
+	res.P999 = Quantile(samples, 0.999)
 	if n := len(samples); n > 0 {
 		res.Max = samples[n-1]
 	}

@@ -4,6 +4,8 @@ import (
 	"os"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/splitmix"
 )
 
 // Trace context: W3C-traceparent-style identifiers that tie one request's
@@ -55,13 +57,7 @@ func init() {
 // reserves all-zero IDs).
 func nextID() uint64 {
 	for {
-		x := idState.Add(0x9e3779b97f4a7c15)
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		x *= 0x94d049bb133111eb
-		x ^= x >> 31
-		if x != 0 {
+		if x := splitmix.Mix64(idState.Add(splitmix.Gamma)); x != 0 {
 			return x
 		}
 	}

@@ -1,6 +1,10 @@
 package sched
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/splitmix"
+)
 
 // The satellite fix behind these tests: gpuNames re-sorted into a fresh
 // slice and finishAssignment re-allocated its Load map on every call. The
@@ -36,16 +40,16 @@ func TestGPUNamesIntoAllocFree(t *testing.T) {
 // state allocates nothing.
 func TestMoveEvalAllocFree(t *testing.T) {
 	dt := Synthetic(2000, 8, 3)
-	rng := newSplitMix(9)
-	s := randomState(dt, rng)
+	rng := splitmix.New(9)
+	s := randomState(dt, &rng)
 	allocs := testing.AllocsPerRun(1000, func() {
-		i := rng.intn(s.n)
-		to := int32(rng.intn(s.g - 1))
+		i := rng.Intn(s.n)
+		to := int32(rng.Intn(s.g - 1))
 		if to >= s.gpuOf[i] {
 			to++
 		}
 		_ = s.evalMove(i, to)
-		j := rng.intn(s.n)
+		j := rng.Intn(s.n)
 		if s.gpuOf[i] != s.gpuOf[j] {
 			if s.evalSwap(i, j) < 2*s.span {
 				s.applySwap(i, j) // swap application is list-append-free
