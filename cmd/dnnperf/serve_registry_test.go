@@ -248,3 +248,21 @@ func TestServeHotSwapUnderLoad(t *testing.T) {
 		t.Fatal("server did not drain")
 	}
 }
+
+// TestServeModelzRejectsBadGroupIndex posts KW envelopes whose group_of
+// index points outside the groups slice: /modelz must answer 400 and keep
+// serving the current model.
+func TestServeModelzRejectsBadGroupIndex(t *testing.T) {
+	s := fittedServer(t)
+	h := s.handler()
+	before := s.reg.Version()
+	for _, gi := range []string{"3", "-1"} {
+		env := `{"kind":"kw","version":1,"model":{"groups":[],"group_of":{"k":` + gi + `}}}`
+		if w := post(t, h, "/modelz", env); w.Code != http.StatusBadRequest {
+			t.Errorf("group_of index %s: status %d, want 400: %s", gi, w.Code, w.Body)
+		}
+	}
+	if v := s.reg.Version(); v != before {
+		t.Fatalf("registry version %d after rejected posts, want %d", v, before)
+	}
+}

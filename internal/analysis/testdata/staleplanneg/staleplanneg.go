@@ -52,8 +52,8 @@ func set(o *OtherModel) {
 	o.Classif = 1
 }
 
-// fitKWRecords is blessed by the fit prefix: the shared fitting core both
-// the record-scan and streaming paths funnel into.
+// fitKWRecords is blessed by the lowercase fit prefix, the naming of
+// unexported fitting helpers.
 func fitKWRecords(m *KWModel) {
 	m.Classif = map[string]int{}
 }

@@ -63,11 +63,7 @@ type Classification struct {
 // (e.g. observed only at a single problem size) are classified with a
 // zero-slope line through their mean duration.
 func ClassifyKernels(recs []dataset.KernelRecord) map[string]Classification {
-	byKernel := map[string][]dataset.KernelRecord{}
-	for _, r := range recs {
-		byKernel[r.Kernel] = append(byKernel[r.Kernel], r)
-	}
-
+	byKernel := recordsByKernel(recs)
 	out := make(map[string]Classification, len(byKernel))
 	for name, rs := range byKernel {
 		c := Classification{Kernel: name, R2: map[Driver]float64{}, N: len(rs)}
@@ -75,9 +71,9 @@ func ClassifyKernels(recs []dataset.KernelRecord) map[string]Classification {
 		for _, d := range Drivers() {
 			xs := make([]float64, len(rs))
 			ys := make([]float64, len(rs))
-			for i, r := range rs {
-				xs[i] = driverX(r, d)
-				ys[i] = float64(r.Seconds)
+			for i, ri := range rs {
+				xs[i] = driverX(recs[ri], d)
+				ys[i] = float64(recs[ri].Seconds)
 			}
 			line, err := regression.Fit(xs, ys)
 			if err != nil {
@@ -99,8 +95,8 @@ func ClassifyKernels(recs []dataset.KernelRecord) map[string]Classification {
 		if c.Driver == "" {
 			// Degenerate everywhere: constant-time kernel at its mean.
 			var mean float64
-			for _, r := range rs {
-				mean += float64(r.Seconds)
+			for _, ri := range rs {
+				mean += float64(recs[ri].Seconds)
 			}
 			mean /= float64(len(rs))
 			c.Driver = DriverOutput
@@ -109,6 +105,17 @@ func ClassifyKernels(recs []dataset.KernelRecord) map[string]Classification {
 		out[name] = c
 	}
 	return out
+}
+
+// recordsByKernel groups record indices by kernel name, each list in record
+// order, so the per-kernel fits read the records in place instead of
+// copying them.
+func recordsByKernel(recs []dataset.KernelRecord) map[string][]int {
+	byKernel := map[string][]int{}
+	for i := range recs {
+		byKernel[recs[i].Kernel] = append(byKernel[recs[i].Kernel], i)
+	}
+	return byKernel
 }
 
 // DriverOf returns the learned driver for a kernel, with ok=false for
@@ -189,10 +196,7 @@ const slopeMergeRatio = 1.35
 // refits one pooled regression per group. Records are needed to refit the
 // pooled lines. The group order and membership are deterministic.
 func GroupKernels(classif map[string]Classification, recs []dataset.KernelRecord) ([]Group, map[string]int) {
-	byKernel := map[string][]dataset.KernelRecord{}
-	for _, r := range recs {
-		byKernel[r.Kernel] = append(byKernel[r.Kernel], r)
-	}
+	byKernel := recordsByKernel(recs)
 
 	var groups []Group
 	groupOf := make(map[string]int, len(classif))
@@ -240,9 +244,9 @@ func GroupKernels(classif map[string]Classification, recs []dataset.KernelRecord
 			for _, m := range members[i:j] {
 				g.Kernels = append(g.Kernels, m.name)
 				groupOf[m.name] = len(groups)
-				for _, r := range byKernel[m.name] {
-					xs = append(xs, driverX(r, d))
-					ys = append(ys, float64(r.Seconds))
+				for _, ri := range byKernel[m.name] {
+					xs = append(xs, driverX(recs[ri], d))
+					ys = append(ys, float64(recs[ri].Seconds))
 				}
 			}
 			if line, stats, err := regression.FitDetail(xs, ys); err == nil {

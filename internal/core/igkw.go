@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 
 	"repro/internal/dataset"
@@ -58,21 +59,12 @@ func FitIGKWBase(ds *dataset.Dataset, trainGPUs []gpu.Spec, trainBatch int) (*IG
 	}
 	b := &IGKWBase{trainBatch: trainBatch, mapping: map[string][]string{}}
 	for _, g := range trainGPUs {
-		var recs []dataset.KernelRecord
-		for _, r := range ds.Kernels {
-			if r.GPU == g.Name && r.BatchSize == trainBatch {
-				recs = append(recs, r)
-			}
-		}
+		recs := cellKernels(ds, g.Name, trainBatch)
 		if len(recs) == 0 {
 			return nil, errNoRecords("IGKW", g.Name)
 		}
 		b.fits = append(b.fits, gpuFit{spec: g, classif: ClassifyKernels(recs), records: recs})
-		for sig, ks := range buildMapping(recs) {
-			if _, ok := b.mapping[sig]; !ok {
-				b.mapping[sig] = ks
-			}
-		}
+		buildMapping(b.mapping, recs)
 	}
 	// Family-level classifications, for sparse/unseen kernels.
 	b.famFits = make([]gpuFit, len(b.fits))
@@ -175,7 +167,7 @@ func (b *IGKWBase) Resolve(target gpu.Spec) (*IGKWModel, error) {
 		Target:     target,
 		TrainBatch: b.trainBatch,
 		kernelWise: kernelWise{
-			Mapping: cloneMapping(b.mapping),
+			Mapping: maps.Clone(b.mapping),
 			lines:   lines,
 			gpu:     target.Name,
 			kind:    kindIGKWModel,

@@ -80,24 +80,13 @@ func FitKW(ds *dataset.Dataset, gpuName string, trainBatch int) (*KWModel, error
 
 // FitKWOptions is FitKW with explicit design-choice options.
 func FitKWOptions(ds *dataset.Dataset, gpuName string, trainBatch int, opt KWOptions) (*KWModel, error) {
-	var recs []dataset.KernelRecord
-	for _, r := range ds.Kernels {
-		if r.GPU == gpuName && r.BatchSize == trainBatch {
-			recs = append(recs, r)
-		}
-	}
+	recs := cellKernels(ds, gpuName, trainBatch)
 	if len(recs) == 0 {
 		return nil, errNoRecords("KW", gpuName)
 	}
-	return fitKWRecords(recs, buildMapping(recs), gpuName, trainBatch, opt)
-}
+	mapping := map[string][]string{}
+	buildMapping(mapping, recs)
 
-// fitKWRecords assembles the model from one cell's kernel records (already
-// filtered to gpuName/trainBatch, in dataset record order) and its
-// layer-signature mapping table. Both FitKWOptions and FitKWFromStatsOptions
-// (which replays a streamed cell's observation log) end here, so the two
-// paths share every bit of the fitting arithmetic.
-func fitKWRecords(recs []dataset.KernelRecord, mapping map[string][]string, gpuName string, trainBatch int, opt KWOptions) (*KWModel, error) {
 	classif := ClassifyKernels(recs)
 	if opt.ForceDriver != "" {
 		classif = forceDriver(classif, recs, opt.ForceDriver)
@@ -133,7 +122,7 @@ func fitKWRecords(recs []dataset.KernelRecord, mapping map[string][]string, gpuN
 			gpu:      gpuName,
 		},
 	}
-	m.initOnline(recs)
+	m.initOnline(recs, opt)
 	m.plans.RegisterMetrics("core_kw_plan_cache")
 	m.layerPlans.RegisterMetrics("core_kw_layer_cache")
 	return m, nil
@@ -164,17 +153,14 @@ func kwLines(groups []Group, groupOf map[string]int, families map[string]Classif
 
 // forceDriver refits every kernel's line on a single imposed driver.
 func forceDriver(classif map[string]Classification, recs []dataset.KernelRecord, d Driver) map[string]Classification {
-	byKernel := map[string][]dataset.KernelRecord{}
-	for _, r := range recs {
-		byKernel[r.Kernel] = append(byKernel[r.Kernel], r)
-	}
+	byKernel := recordsByKernel(recs)
 	out := make(map[string]Classification, len(classif))
 	for name, c := range classif {
 		rs := byKernel[name]
 		var xs, ys []float64
-		for _, r := range rs {
-			xs = append(xs, driverX(r, d))
-			ys = append(ys, float64(r.Seconds))
+		for _, ri := range rs {
+			xs = append(xs, driverX(recs[ri], d))
+			ys = append(ys, float64(recs[ri].Seconds))
 		}
 		forced := Classification{Kernel: name, Driver: d, R2: c.R2, N: len(rs)}
 		if line, err := regression.Fit(xs, ys); err == nil {
@@ -235,35 +221,58 @@ func singletonGroups(classif map[string]Classification) ([]Group, map[string]int
 	return groups, groupOf
 }
 
-// buildMapping constructs the layer-signature→kernel-list table from
-// training records. Kernel order within a layer follows record order (launch
-// order); duplicate (signature) entries across networks are identical by
-// construction, so the first wins.
-func buildMapping(recs []dataset.KernelRecord) map[string][]string {
-	type layerKey struct {
-		net string
-		bs  int
-		idx int
-	}
-	perLayer := map[layerKey][]string{}
-	sigOf := map[layerKey]string{}
-	var order []layerKey
-	for _, r := range recs {
-		k := layerKey{r.Network, r.BatchSize, r.LayerIndex}
-		if _, ok := perLayer[k]; !ok {
-			order = append(order, k)
-		}
-		perLayer[k] = append(perLayer[k], r.Kernel)
-		sigOf[k] = r.LayerSignature
-	}
-	mapping := map[string][]string{}
-	for _, k := range order {
-		sig := sigOf[k]
-		if _, ok := mapping[sig]; !ok {
-			mapping[sig] = perLayer[k]
+// cellKernels returns the kernel records of one (GPU, batch size) cell in
+// dataset order, in a slice sized exactly by a counting pass (the pattern
+// Dataset.FilterGPU uses), so the copy never pays append growth.
+func cellKernels(ds *dataset.Dataset, gpuName string, batch int) []dataset.KernelRecord {
+	n := 0
+	for i := range ds.Kernels {
+		if r := &ds.Kernels[i]; r.GPU == gpuName && r.BatchSize == batch {
+			n++
 		}
 	}
-	return mapping
+	if n == 0 {
+		return nil
+	}
+	out := make([]dataset.KernelRecord, 0, n)
+	for i := range ds.Kernels {
+		if r := &ds.Kernels[i]; r.GPU == gpuName && r.BatchSize == batch {
+			out = append(out, *r)
+		}
+	}
+	return out
+}
+
+// buildMapping adds the layer-signature→kernel-list entries of the records
+// to mapping, first wins. A layer instance's kernels are contiguous in
+// launch order (Dataset.AddTrace emits them so), and a change of network,
+// GPU, batch size or layer index between consecutive records closes the
+// instance. Instances of one signature launch the same kernels by
+// construction, so the first one seen is kept. Reading instances as
+// contiguous runs, not as (network, batch, layer) keys, keeps two
+// collections of the same networks merged into one dataset from
+// concatenating each other's kernel lists.
+func buildMapping(mapping map[string][]string, recs []dataset.KernelRecord) {
+	for start := 0; start < len(recs); {
+		first := &recs[start]
+		end := start + 1
+		for end < len(recs) {
+			r := &recs[end]
+			if r.LayerIndex != first.LayerIndex || r.Network != first.Network ||
+				r.BatchSize != first.BatchSize || r.GPU != first.GPU {
+				break
+			}
+			end++
+		}
+		if _, ok := mapping[first.LayerSignature]; !ok {
+			names := make([]string, end-start)
+			for i := range names {
+				names[i] = recs[start+i].Kernel
+			}
+			mapping[first.LayerSignature] = names
+		}
+		start = end
+	}
 }
 
 // GPUName implements Predictor.

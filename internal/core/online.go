@@ -18,13 +18,14 @@ import (
 // variable (the sufficient statistics of §4 O5's three regressions). New
 // records fold into the accumulators in O(1); the classification, grouping
 // and fallback structure are then rebuilt from the accumulators — cheap,
-// since the data is already reduced to per-kernel statistics.
+// since the data is already reduced to per-kernel statistics — under the
+// design-choice options the model was fitted with.
 type onlineState struct {
 	// kernelAcc[name][i] accumulates (driver_i, seconds) for Drivers()[i].
 	kernelAcc map[string]*[3]regression.Accumulator
-	// mapping accumulates layer-signature → kernel-list entries from
-	// streamed records.
-	mapping map[string][]string
+	// opt are the options of the fit the state was seeded from; the
+	// rebuild honours them as that fit did.
+	opt KWOptions
 }
 
 // accumulate folds records into the per-kernel driver accumulators.
@@ -56,20 +57,32 @@ func sortedStringKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// initOnline seeds the accumulators (and the mapping table) from the
-// fit-time records so later observations blend with the training data.
-func (m *KWModel) initOnline(recs []dataset.KernelRecord) {
-	st := &onlineState{
-		kernelAcc: map[string]*[3]regression.Accumulator{},
-		mapping:   map[string][]string{},
-	}
+// initOnline seeds the accumulators from the fit-time records and options
+// so later observations blend with the training data.
+func (m *KWModel) initOnline(recs []dataset.KernelRecord, opt KWOptions) {
+	st := &onlineState{kernelAcc: map[string]*[3]regression.Accumulator{}, opt: opt}
 	st.accumulate(recs)
 	m.online = st
 }
 
+// driverIndex maps a driver to its accumulator axis; unknown drivers take
+// the output axis, mirroring driverX's default.
+func driverIndex(d Driver) int {
+	switch d {
+	case DriverInput:
+		return 0
+	case DriverOperation:
+		return 1
+	default:
+		return 2
+	}
+}
+
 // classifyFromAccumulators reproduces ClassifyKernels from the sufficient
-// statistics: best (non-negative-slope-preferred) R² wins.
-func classifyFromAccumulators(name string, acc *[3]regression.Accumulator) Classification {
+// statistics: best (non-negative-slope-preferred) R² wins. A non-empty
+// force reproduces forceDriver instead: the line is refitted on that
+// driver, keeping the R² of every candidate.
+func classifyFromAccumulators(name string, acc *[3]regression.Accumulator, force Driver) Classification {
 	c := Classification{Kernel: name, R2: map[Driver]float64{}, N: acc[0].N()}
 	best := -1.0
 	for i, d := range Drivers() {
@@ -92,12 +105,59 @@ func classifyFromAccumulators(name string, acc *[3]regression.Accumulator) Class
 		c.Driver = DriverOutput
 		c.Line = regression.Line{Intercept: acc[0].MeanY(), N: acc[0].N()}
 	}
+	if force != "" {
+		a := &acc[driverIndex(force)]
+		c.Driver = force
+		if line, err := a.Line(); err == nil {
+			c.Line = line
+		} else {
+			c.Line = regression.Line{Intercept: a.MeanY(), N: a.N()}
+		}
+	}
 	return c
 }
 
+// familyAccumulators pools all size variants of each kernel family into one
+// accumulator triple, merging in sorted kernel order (accumulator merges
+// fold floating-point sums; sorted order keeps them bit-identical per run).
+func familyAccumulators(accs map[string]*[3]regression.Accumulator) map[string]*[3]regression.Accumulator {
+	famAcc := map[string]*[3]regression.Accumulator{}
+	for _, name := range sortedStringKeys(accs) {
+		acc := accs[name]
+		fam := FamilyOf(name)
+		fa, ok := famAcc[fam]
+		if !ok {
+			fa = &[3]regression.Accumulator{}
+			famAcc[fam] = fa
+		}
+		for i := range fa {
+			fa[i].Merge(acc[i])
+		}
+	}
+	return famAcc
+}
+
+// classPools merges each driver class's member accumulators (on the class's
+// own axis) into one pooled accumulator per driver, in sorted kernel order.
+func classPools(classif map[string]Classification,
+	accs map[string]*[3]regression.Accumulator) [3]regression.Accumulator {
+
+	var pools [3]regression.Accumulator
+	kernelNames := sortedStringKeys(accs)
+	for i, d := range Drivers() {
+		for _, name := range kernelNames {
+			if classif[name].Driver == d {
+				pools[i].Merge(accs[name][i])
+			}
+		}
+	}
+	return pools
+}
+
 // rebuildFromAccumulators reconstructs classification, groups and fallbacks
-// from the online statistics — the same structure FitKW derives from raw
-// records — and the resolved-line table derived from them. Kernels the model knows from fit time but whose statistics are
+// from the online statistics — the same structure FitKWOptions derives from
+// raw records under the same options — and the resolved-line table derived
+// from them. Kernels the model knows from fit time but whose statistics are
 // not in the accumulators (possible after deserialization, where only the
 // fitted parameters survive) keep their existing models as frozen singleton
 // groups, so updating is never destructive.
@@ -117,15 +177,23 @@ func (m *KWModel) rebuildFromAccumulators() {
 	if m.Classif == nil {
 		m.Classif = map[string]Classification{}
 	}
+	backed := make(map[string]Classification, len(st.kernelAcc))
 	for _, name := range sortedStringKeys(st.kernelAcc) {
-		m.Classif[name] = classifyFromAccumulators(name, st.kernelAcc[name])
+		c := classifyFromAccumulators(name, st.kernelAcc[name], st.opt.ForceDriver)
+		m.Classif[name] = c
+		backed[name] = c
 	}
 
 	// Regroup accumulator-backed kernels by (driver, slope proximity)
-	// exactly as GroupKernels does, then re-attach the frozen singletons in
-	// sorted order (ranging the map would append them — and therefore assign
-	// group indices — in a different order every run).
-	m.Groups, m.GroupOf = groupFromAccumulators(m.Classif, st.kernelAcc)
+	// exactly as GroupKernels does — or one group each, as singletonGroups
+	// does — then re-attach the frozen singletons in sorted order (ranging
+	// the map would append them — and therefore assign group indices — in a
+	// different order every run).
+	if st.opt.DisableGrouping {
+		m.Groups, m.GroupOf = singletonGroups(backed)
+	} else {
+		m.Groups, m.GroupOf = groupFromAccumulators(backed, st.kernelAcc)
+	}
 	for _, name := range sortedStringKeys(frozen) {
 		m.GroupOf[name] = len(m.Groups)
 		m.Groups = append(m.Groups, frozen[name])
@@ -147,29 +215,23 @@ func (m *KWModel) rebuildFromAccumulators() {
 		}
 
 		// Family-level models from merged accumulators of same-family
-		// kernels (frozen families are preserved unless re-observed).
+		// kernels (frozen families are preserved unless re-observed), unless
+		// the fit removed the family tier.
 		if m.Families == nil {
 			m.Families = map[string]Classification{}
 		}
-		famAcc := familyAccumulators(st.kernelAcc)
-		for _, fam := range sortedStringKeys(famAcc) {
-			m.Families[fam] = classifyFromAccumulators(fam, famAcc[fam])
-		}
-	}
-
-	// Extend the mapping table with streamed signatures.
-	if m.Mapping == nil {
-		m.Mapping = map[string][]string{}
-	}
-	for _, sig := range sortedStringKeys(st.mapping) {
-		if _, ok := m.Mapping[sig]; !ok {
-			m.Mapping[sig] = st.mapping[sig]
+		if !st.opt.DisableFamilyFallback {
+			famAcc := familyAccumulators(st.kernelAcc)
+			for _, fam := range sortedStringKeys(famAcc) {
+				m.Families[fam] = classifyFromAccumulators(fam, famAcc[fam], st.opt.ForceDriver)
+			}
 		}
 	}
 	m.lines = kwLines(m.Groups, m.GroupOf, m.Families, m.ClassFallback)
 }
 
-// groupFromAccumulators mirrors GroupKernels over accumulator statistics.
+// groupFromAccumulators mirrors GroupKernels over accumulator statistics;
+// classif holds the accumulator-backed kernels only.
 func groupFromAccumulators(classif map[string]Classification,
 	kernelAcc map[string]*[3]regression.Accumulator) ([]Group, map[string]int) {
 
@@ -179,9 +241,6 @@ func groupFromAccumulators(classif map[string]Classification,
 		var members []kernelSlope
 		for _, name := range sortedStringKeys(classif) {
 			c := classif[name]
-			if _, backed := kernelAcc[name]; !backed {
-				continue // frozen fit-time kernel with no online statistics
-			}
 			if c.Driver == d && c.N >= MinKernelObservations {
 				members = append(members, kernelSlope{name, c.Line.Slope})
 			}
@@ -245,21 +304,19 @@ func sortMembers(members []kernelSlope) {
 // kernels that gained a dedicated model through this batch.
 func (m *KWModel) ObserveRecords(recs []dataset.KernelRecord) (groups, newKernels int) {
 	if m.online == nil {
-		m.initOnline(nil)
+		m.initOnline(nil, KWOptions{})
 	}
-	st := m.online
 
 	before := map[string]bool{}
 	for _, name := range sortedStringKeys(m.GroupOf) {
 		before[name] = true
 	}
 
-	st.accumulate(recs)
-	for sig, ks := range buildMapping(recs) {
-		if _, ok := st.mapping[sig]; !ok {
-			st.mapping[sig] = ks
-		}
+	m.online.accumulate(recs)
+	if m.Mapping == nil {
+		m.Mapping = map[string][]string{}
 	}
+	buildMapping(m.Mapping, recs)
 	m.rebuildFromAccumulators()
 
 	// The regression structure changed: every compiled plan and cached layer

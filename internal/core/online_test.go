@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/gpu"
 )
 
@@ -108,4 +109,57 @@ func TestObserveRecordsOnUninitializedModel(t *testing.T) {
 	if _, created := m.ObserveRecords(recs); created != 1 {
 		t.Fatal("bootstrap promotion failed")
 	}
+}
+
+// TestObserveRecordsKeepsFitOptions fits with each design-choice option on
+// the first 3/4 of the zoo-sample A100 records and observes one more
+// record: the rebuilt model must still honour the option it was fitted
+// with.
+func TestObserveRecordsKeepsFitOptions(t *testing.T) {
+	ds := buildSampleDataset(t, false)
+	cut := len(ds.Kernels) * 3 / 4
+	head := &dataset.Dataset{Kernels: ds.Kernels[:cut]}
+	next := ds.Kernels[cut : cut+1]
+
+	fit := func(opt KWOptions) *KWModel {
+		t.Helper()
+		m, err := FitKWOptions(head, "A100", 512, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.ObserveRecords(next)
+		return m
+	}
+
+	t.Run("ForceDriver", func(t *testing.T) {
+		m := fit(KWOptions{ForceDriver: DriverOperation})
+		for _, g := range m.Groups {
+			if g.Driver != DriverOperation {
+				t.Fatalf("group %v has driver %s after an update, want %s", g.Kernels, g.Driver, DriverOperation)
+			}
+		}
+		for _, name := range sortedStringKeys(m.Families) {
+			if d := m.Families[name].Driver; d != DriverOperation {
+				t.Fatalf("family %s has driver %s after an update, want %s", name, d, DriverOperation)
+			}
+		}
+	})
+	t.Run("DisableFamilyFallback", func(t *testing.T) {
+		m := fit(KWOptions{DisableFamilyFallback: true})
+		if len(m.Families) != 0 || len(m.lines.families) != 0 {
+			t.Fatalf("family tier has %d entries (%d resolved) after an update, want 0",
+				len(m.Families), len(m.lines.families))
+		}
+	})
+	t.Run("DisableGrouping", func(t *testing.T) {
+		m := fit(KWOptions{DisableGrouping: true})
+		if len(m.Groups) == 0 {
+			t.Fatal("no groups")
+		}
+		for _, g := range m.Groups {
+			if len(g.Kernels) != 1 {
+				t.Fatalf("group of %d kernels after an update, want singletons", len(g.Kernels))
+			}
+		}
+	})
 }

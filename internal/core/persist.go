@@ -130,6 +130,11 @@ func Load(r io.Reader) (Predictor, error) {
 		if err := json.Unmarshal(env.Model, &j); err != nil {
 			return nil, fmt.Errorf("core: load KW model: %w", err)
 		}
+		for _, name := range sortedStringKeys(j.GroupOf) {
+			if gi := j.GroupOf[name]; gi < 0 || gi >= len(j.Groups) {
+				return nil, fmt.Errorf("core: load KW model: kernel %q maps to group %d of %d", name, gi, len(j.Groups))
+			}
+		}
 		return &KWModel{
 			GPU: j.GPU, TrainBatch: j.TrainBatch, Classif: j.Classif,
 			Groups: j.Groups, GroupOf: j.GroupOf,

@@ -228,3 +228,14 @@ func TestLoadSavedModelFiles(t *testing.T) {
 		t.Fatal("no recorded predictions")
 	}
 }
+
+// TestLoadRejectsGroupIndexOutOfRange feeds KW envelopes whose group_of
+// points outside the groups slice: Load must return an error, not panic.
+func TestLoadRejectsGroupIndexOutOfRange(t *testing.T) {
+	for _, gi := range []string{"3", "-1"} {
+		env := `{"kind":"kw","version":1,"model":{"groups":[],"group_of":{"k":` + gi + `}}}`
+		if _, err := Load(strings.NewReader(env)); err == nil {
+			t.Errorf("group_of index %s: Load accepted the envelope", gi)
+		}
+	}
+}

@@ -13,7 +13,7 @@
 # percent of the untraced one; see the tracing gates below), and the
 # collection fast path: one
 # dataset.Build pass (DatasetBuild), one detail profile (Profile) and one
-# KW fit from sufficient statistics (FitKW), and one full dnnlint pass over
+# production KW fit over a collected dataset (FitKW), and one full dnnlint pass over
 # the module (DnnlintModule — the wall-clock cost `make lint` adds to the
 # gate). Only the root package's LabDatasetBuild stays an ungated
 # order-of-magnitude reference.
