@@ -450,42 +450,52 @@ func Figure19(l *Lab) (*Figure19Result, error) {
 		return nil, err
 	}
 
-	pred := sched.Times{}
-	actual := sched.Times{}
-	for _, g := range schedGPUs() {
-		pred[g.Name] = make([]float64, len(figure19Nets))
-		actual[g.Name] = make([]float64, len(figure19Nets))
+	// Both tables follow schedGPUs() order, which is already sorted by name
+	// ("A40" < "TITAN RTX"): the ids, and so every tie-break, match what
+	// FromTimes would intern.
+	gpus := schedGPUs()
+	names := make([]string, len(gpus))
+	for j, g := range gpus {
+		names[j] = g.Name
+	}
+	pred, err := sched.NewDenseTimes(names, len(figure19Nets))
+	if err != nil {
+		return nil, err
+	}
+	actual, err := sched.NewDenseTimes(names, len(figure19Nets))
+	if err != nil {
+		return nil, err
 	}
 	for i, name := range figure19Nets {
-		for j, g := range schedGPUs() {
-			pred[g.Name][i] = float64(preds[i][j])
+		for j, g := range gpus {
+			pred.Row(j)[i] = float64(preds[i][j])
 			for _, r := range meas.Networks {
 				if r.Network == name && r.GPU == g.Name && r.BatchSize == TrainBatch {
-					actual[g.Name][i] = float64(r.E2ESeconds)
+					actual.Row(j)[i] = float64(r.E2ESeconds)
 				}
 			}
 		}
 	}
 
-	// Auto takes the exhaustive search here (9 tasks × 2 GPUs is well within
-	// the brute-force limits) and would degrade to Greedy on a larger queue
-	// instead of failing.
-	plan, _, err := sched.Auto(pred, len(figure19Nets))
+	// AutoSchedule takes the exhaustive search here (9 tasks × 2 GPUs is
+	// well within the brute-force limits) and would degrade to local search
+	// on a larger queue instead of failing.
+	plan, _, err := sched.AutoSchedule(pred)
 	if err != nil {
 		return nil, err
 	}
-	achieved, err := sched.MakespanOf(plan.GPUOf, actual)
+	achieved, err := actual.Makespan(plan.GPUOf)
 	if err != nil {
 		return nil, err
 	}
-	oracle, _, err := sched.Auto(actual, len(figure19Nets))
+	oracle, _, err := sched.AutoSchedule(actual)
 	if err != nil {
 		return nil, err
 	}
 	const tol = 1.005 // measured-time ties within 0.5 % count as matching
 	return &Figure19Result{
 		Networks:          figure19Nets,
-		Assignment:        plan,
+		Assignment:        plan.Assignment(pred),
 		PredictedMakespan: plan.Makespan,
 		AchievedMakespan:  achieved,
 		OracleMakespan:    oracle.Makespan,

@@ -14,7 +14,7 @@ import (
 // Cluster-scale scheduling: the case-study-3 pattern ("models as a fast
 // oracle inside a search loop") taken from the paper's 9 tasks × 2 GPUs to
 // a heterogeneous fleet and queues of up to 10⁶ tasks. The time table is
-// built with one PredictSweep per (model, network) over the queue's unique
+// built from one core.PredictGrid over the queue's networks and unique
 // batch sizes (core.TaskTimes), and the schedule comes from sched.Schedule
 // — LPT-lookahead construction plus multi-start annealed local search with
 // a certified optimality gap.

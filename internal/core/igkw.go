@@ -69,7 +69,8 @@ func FitIGKWBase(ds *dataset.Dataset, trainGPUs []gpu.Spec, trainBatch int) (*IG
 	// Family-level classifications, for sparse/unseen kernels.
 	b.famFits = make([]gpuFit, len(b.fits))
 	for i, f := range b.fits {
-		b.famFits[i] = gpuFit{spec: f.spec, classif: ClassifyFamilies(f.records), records: familyRecords(f.records)}
+		fam := familyRecords(f.records)
+		b.famFits[i] = gpuFit{spec: f.spec, classif: ClassifyKernels(fam), records: fam}
 	}
 	return b, nil
 }

@@ -99,9 +99,10 @@ func FitKWOptions(ds *dataset.Dataset, gpuName string, trainBatch int, opt KWOpt
 		groups, groupOf = GroupKernels(classif, recs)
 	}
 
-	families := ClassifyFamilies(recs)
+	famRecs := familyRecords(recs)
+	families := ClassifyKernels(famRecs)
 	if opt.ForceDriver != "" {
-		families = forceDriver(families, familyRecords(recs), opt.ForceDriver)
+		families = forceDriver(families, famRecs, opt.ForceDriver)
 	}
 	if opt.DisableFamilyFallback {
 		families = map[string]Classification{}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/dnn"
 )
@@ -12,8 +11,8 @@ import (
 // (GPU × task) time table for queues of up to 10⁶ tasks, where each task
 // is one of a handful of networks at some batch size. Predicting per task
 // would pay the per-call overhead a million times; instead TaskTimes runs
-// one PredictSweep per (model, network) pair over the task list's UNIQUE
-// batch sizes — bit-identical to per-task prediction by the SweepPredictor
+// one PredictGrid over the referenced networks and the queue's UNIQUE batch
+// sizes — bit-identical to per-task prediction by the SweepPredictor
 // contract — and scatters the handful of predicted values across the
 // million task slots.
 
@@ -21,8 +20,10 @@ import (
 // and taskBatch[i] give task i's network (an index into nets) and batch
 // size. The result rows follow the models' order (names from GPUName), and
 // row g holds task i's seconds at gpuTimes[g*len(taskNet)+i] — the layout
-// sched.NewDenseTimes fills via Row. Prediction runs one goroutine per
-// (model, network) pair, like PredictGrid; the scatter is deterministic.
+// sched.NewDenseTimes fills via Row. Every referenced network is swept over
+// the sorted union of the queue's batch sizes, so a batch beyond one
+// network's plan limit (Plan.MaxBatch) fails the table even when only
+// another network's tasks use it.
 func TaskTimes(models []SweepPredictor, nets []*dnn.Network, taskNet, taskBatch []int) ([]string, []float64, error) {
 	nTasks := len(taskNet)
 	if nTasks == 0 {
@@ -35,9 +36,10 @@ func TaskTimes(models []SweepPredictor, nets []*dnn.Network, taskNet, taskBatch 
 		return nil, nil, fmt.Errorf("core: task table with no models")
 	}
 
-	// Collect each network's unique batch sizes, sorted so sweep inputs —
-	// and therefore any sweep-internal rounding — are order-independent.
-	batchSets := make([]map[int]int, len(nets)) // net → batch → sweep index
+	// Grid axes: the referenced networks in input order, and the unique
+	// batch sizes sorted so sweep inputs are order-independent.
+	col := make([]int, len(nets)) // network → grid network index + 1; 0 if unreferenced
+	batchIdx := map[int]int{}     // batch → grid batch index
 	for i, nj := range taskNet {
 		if nj < 0 || nj >= len(nets) {
 			return nil, nil, fmt.Errorf("core: task %d references network %d of %d", i, nj, len(nets))
@@ -45,74 +47,41 @@ func TaskTimes(models []SweepPredictor, nets []*dnn.Network, taskNet, taskBatch 
 		if taskBatch[i] <= 0 {
 			return nil, nil, fmt.Errorf("core: task %d has non-positive batch %d", i, taskBatch[i])
 		}
-		if batchSets[nj] == nil {
-			batchSets[nj] = make(map[int]int)
-		}
-		batchSets[nj][taskBatch[i]] = 0
+		col[nj] = 1
+		batchIdx[taskBatch[i]] = 0
 	}
-	sweepBatches := make([][]int, len(nets))
-	for j, set := range batchSets {
-		if set == nil {
-			continue // network never referenced: no sweep needed
+	var refNets []*dnn.Network
+	for j, n := range nets {
+		if col[j] != 0 {
+			refNets = append(refNets, n)
+			col[j] = len(refNets)
 		}
-		bs := make([]int, 0, len(set))
-		for b := range set {
-			bs = append(bs, b)
-		}
-		sort.Ints(bs)
-		for k, b := range bs {
-			set[b] = k
-		}
-		sweepBatches[j] = bs
+	}
+	batches := make([]int, 0, len(batchIdx))
+	for b := range batchIdx {
+		batches = append(batches, b)
+	}
+	sort.Ints(batches)
+	for k, b := range batches {
+		batchIdx[b] = k
 	}
 
-	gpus := make([]string, len(models))
-	for g, m := range models {
-		gpus[g] = m.GPUName()
-	}
-
-	// One sweep per (model, referenced network), goroutine-parallel with
-	// indexed result slots — deterministic like PredictGrid, and the first
-	// failing (model, network) in input order wins error reporting.
-	seconds := make([][][]float64, len(models)) // [model][net][sweep index]
-	errs := make([]error, len(models)*len(nets))
-	var wg sync.WaitGroup
-	for g, m := range models {
-		seconds[g] = make([][]float64, len(nets))
-		for j, n := range nets {
-			if sweepBatches[j] == nil {
-				continue
-			}
-			wg.Add(1)
-			go func(g, j int, m SweepPredictor, n *dnn.Network) {
-				defer wg.Done()
-				out, err := m.PredictSweep(n, sweepBatches[j])
-				if err != nil {
-					errs[g*len(nets)+j] = fmt.Errorf("core: task table cell (%s, %s): %w", m.GPUName(), n.Name, err)
-					return
-				}
-				row := make([]float64, len(out))
-				for k, v := range out {
-					row[k] = v.Float64()
-				}
-				seconds[g][j] = row
-			}(g, j, m, n)
-		}
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	grid, err := PredictGrid(models, refNets, batches)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Scatter the per-(net, batch) predictions across the task slots.
+	taskBatchIdx := make([]int32, nTasks)
+	for i, b := range taskBatch {
+		taskBatchIdx[i] = int32(batchIdx[b])
+	}
 	table := make([]float64, len(models)*nTasks)
-	for g := range models {
+	for g, secs := range grid.Seconds {
 		row := table[g*nTasks : (g+1)*nTasks]
 		for i, nj := range taskNet {
-			row[i] = seconds[g][nj][batchSets[nj][taskBatch[i]]]
+			row[i] = secs[col[nj]-1][taskBatchIdx[i]].Float64()
 		}
 	}
-	return gpus, table, nil
+	return grid.GPUs, table, nil
 }

@@ -173,7 +173,7 @@ func (sc *Scenario) Run(st *StepTable) (Result, error) {
 // Sweep replays every scenario across a bounded worker pool and merges the
 // results into indexed slots, so output order matches input order and the
 // first failing scenario in input order wins error reporting — the same
-// deterministic fan-out discipline as core.TaskTimes. workers ≤ 0 defaults
+// deterministic fan-out discipline as core.PredictGrid. workers ≤ 0 defaults
 // to GOMAXPROCS.
 func Sweep(st *StepTable, scenarios []Scenario, workers int) ([]ScenarioResult, error) {
 	if len(scenarios) == 0 {

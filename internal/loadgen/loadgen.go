@@ -125,8 +125,10 @@ type Result struct {
 	Status2xx, Status4xx, Status429, Status5xx, NetErrors int64
 	// MeasuredSeconds is the post-warm-up window the throughput refers to.
 	MeasuredSeconds units.Seconds
-	// Measured counts post-warm-up 2xx responses; ThroughputRPS is
-	// Measured / MeasuredSeconds.
+	// Measured counts post-warm-up responses below 400. ThroughputRPS
+	// counts only those that completed before the run's deadline, over
+	// MeasuredSeconds: a request sent in the window but answered after it
+	// adds latency, not throughput.
 	Measured      int64
 	ThroughputRPS float64
 	// Latency quantiles over the post-warm-up samples (exact, from the
@@ -216,10 +218,12 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	case slowestK < 0:
 		slowestK = 0
 	}
+	t0 := time.Now()
 	r := &run{
 		cfg:       cfg,
 		client:    client,
-		warmupEnd: time.Now().Add(cfg.Warmup),
+		warmupEnd: t0.Add(cfg.Warmup),
+		deadline:  t0.Add(cfg.Duration),
 		hist:      obs.NewHistogram(nil),
 		slowestK:  slowestK,
 	}
@@ -228,10 +232,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		res.OfferedRPS = 0
 	}
 
-	deadline := time.Now().Add(cfg.Duration)
 	switch arrival {
 	case Closed:
-		r.runClosed(ctx, conc, deadline)
+		r.runClosed(ctx, conc)
 	default:
 		period := cfg.DiurnalPeriod
 		if period <= 0 {
@@ -245,7 +248,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.runOpen(ctx, proc, conc, deadline)
+		r.runOpen(ctx, proc, conc)
 	}
 	r.wg.Wait()
 
@@ -260,7 +263,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	res.MeasuredSeconds = units.Seconds((cfg.Duration - cfg.Warmup).Seconds())
 	res.Measured = r.measured.Load()
 	if res.MeasuredSeconds > 0 {
-		res.ThroughputRPS = float64(res.Measured) / res.MeasuredSeconds.Float64()
+		res.ThroughputRPS = float64(r.inWindow.Load()) / res.MeasuredSeconds.Float64()
 	}
 	res.Hist = r.hist
 
@@ -285,11 +288,11 @@ type run struct {
 	cfg    Config
 	client *http.Client
 
-	warmupEnd time.Time
+	warmupEnd, deadline time.Time
 
 	sent, shed, completed           atomic.Int64
 	s2xx, s4xx, s429, s5xx, netErrs atomic.Int64
-	measured                        atomic.Int64
+	measured, inWindow              atomic.Int64
 	outstanding                     atomic.Int64
 	wg                              sync.WaitGroup
 	slowestK                        int
@@ -323,12 +326,12 @@ func (r *run) recordSlow(elapsed time.Duration, status int, traceID string) {
 // until the deadline: each simulated arrival time maps onto start+t, so
 // the offered schedule is exactly the one the fleet simulator would replay
 // for the same (schedule, rate, seed).
-func (r *run) runOpen(ctx context.Context, proc Process, conc int, deadline time.Time) {
+func (r *run) runOpen(ctx context.Context, proc Process, conc int) {
 	reqRng := rand.New(rand.NewSource(r.cfg.Seed + 1))
 
 	start := time.Now()
 	for {
-		if !time.Now().Before(deadline) {
+		if !time.Now().Before(r.deadline) {
 			return
 		}
 		select {
@@ -345,7 +348,7 @@ func (r *run) runOpen(ctx context.Context, proc Process, conc int, deadline time
 				return
 			}
 		}
-		if !time.Now().Before(deadline) {
+		if !time.Now().Before(r.deadline) {
 			return
 		}
 
@@ -363,13 +366,13 @@ func (r *run) runOpen(ctx context.Context, proc Process, conc int, deadline time
 }
 
 // runClosed runs conc workers back to back until the deadline.
-func (r *run) runClosed(ctx context.Context, conc int, deadline time.Time) {
+func (r *run) runClosed(ctx context.Context, conc int) {
 	for w := 0; w < conc; w++ {
 		r.wg.Add(1)
 		go func(w int) {
 			defer r.wg.Done()
 			rng := rand.New(rand.NewSource(r.cfg.Seed + int64(w)*7919))
-			for time.Now().Before(deadline) {
+			for time.Now().Before(r.deadline) {
 				select {
 				case <-ctx.Done():
 					return
@@ -427,6 +430,9 @@ func (r *run) do(req *http.Request) {
 	}
 	if resp.StatusCode < 400 {
 		r.measured.Add(1)
+		if start.Add(elapsed).Before(r.deadline) {
+			r.inWindow.Add(1)
+		}
 	}
 	r.hist.Observe(units.Seconds(elapsed.Seconds()))
 	r.mu.Lock()

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -269,5 +270,70 @@ func TestRunSlowestTraceIDs(t *testing.T) {
 	}
 	if res.Slowest[0].Latency != res.Max {
 		t.Errorf("slowest[0]=%v != max=%v", res.Slowest[0].Latency, res.Max)
+	}
+}
+
+// timedTransport records when each round trip started and returned.
+type timedTransport struct {
+	base       http.RoundTripper
+	mu         sync.Mutex
+	starts     []time.Time
+	ends       []time.Time
+	firstStart time.Time
+}
+
+func (tt *timedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	start := time.Now()
+	resp, err := tt.base.RoundTrip(req)
+	end := time.Now()
+	tt.mu.Lock()
+	if tt.firstStart.IsZero() || start.Before(tt.firstStart) {
+		tt.firstStart = start
+	}
+	tt.starts = append(tt.starts, start)
+	tt.ends = append(tt.ends, end)
+	tt.mu.Unlock()
+	return resp, err
+}
+
+// TestThroughputCountsOnlyCompletionsInWindow: with a 200 ms server delay
+// and a 400 ms measured window, about half the requests sent after the
+// warm-up are answered after the deadline. Throughput must count only the
+// completions inside the window. The bound is computed from the client
+// side: Run's warm-up ends no earlier than the call to Run plus Warmup, and
+// its deadline falls no later than the first round trip plus Duration.
+func TestThroughputCountsOnlyCompletionsInWindow(t *testing.T) {
+	const delay = 200 * time.Millisecond
+	srv, newReq := testTarget(t, func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(delay)
+		w.WriteHeader(http.StatusOK)
+	})
+	tt := &timedTransport{base: srv.Client().Transport}
+	cfg := Config{
+		NewRequest: newReq,
+		Client:     &http.Client{Transport: tt, Timeout: 10 * time.Second},
+		Rate:       200,
+		Duration:   500 * time.Millisecond,
+		Warmup:     100 * time.Millisecond,
+		Seed:       3,
+	}
+	called := time.Now()
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt.mu.Lock()
+	defer tt.mu.Unlock()
+	warmupEnd, deadline := called.Add(cfg.Warmup), tt.firstStart.Add(cfg.Duration)
+	inWindow := 0
+	for i, s := range tt.starts {
+		if !s.Before(warmupEnd) && !tt.ends[i].After(deadline) {
+			inWindow++
+		}
+	}
+	bound := float64(inWindow) / res.MeasuredSeconds.Float64()
+	if res.ThroughputRPS <= 0 || res.ThroughputRPS > bound {
+		t.Fatalf("throughput %.1f rps, want in (0, %.1f]: %d completions inside the window, %d measured",
+			res.ThroughputRPS, bound, inWindow, res.Measured)
 	}
 }

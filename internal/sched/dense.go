@@ -8,11 +8,11 @@ import (
 	"repro/internal/splitmix"
 )
 
-// DenseTimes is the slice-backed time table the cluster-scale optimizer
-// works on: one gpu-major []float64 with an interned GPU index, replacing
-// the map-of-slices Times on every hot path. For 10⁶ tasks × dozens of
+// DenseTimes is the time table every scheduling algorithm reads: one
+// gpu-major []float64 with an interned GPU index. The map-form Times is
+// only an input format, converted by FromTimes. For 10⁶ tasks × dozens of
 // GPU types the flat layout keeps a full table scan sequential in memory
-// and makes row fills (one core.PredictSweep pass per (network, GPU))
+// and makes row fills (one core.PredictGrid sweep per (network, GPU))
 // plain slice writes.
 type DenseTimes struct {
 	gpus  []string       // interned GPU names; index is the GPU id
@@ -56,7 +56,12 @@ func FromTimes(tm Times, nTasks int) (*DenseTimes, error) {
 	if err := tm.Validate(nTasks); err != nil {
 		return nil, err
 	}
-	dt, err := NewDenseTimes(tm.gpuNames(), nTasks)
+	names := make([]string, 0, len(tm))
+	for g := range tm {
+		names = append(names, g)
+	}
+	slices.Sort(names)
+	dt, err := NewDenseTimes(names, nTasks)
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +107,7 @@ func (dt *DenseTimes) Validate() error {
 	return nil
 }
 
-// Times converts back to the map form the small-instance API consumes.
+// Times converts back to the map form the small-instance API takes.
 func (dt *DenseTimes) Times() Times {
 	tm := make(Times, len(dt.gpus))
 	for g, name := range dt.gpus {
@@ -144,8 +149,26 @@ func finishDense(a *DenseAssignment, dt *DenseTimes) {
 	}
 }
 
-// Assignment expands the index form into the map-form Assignment used by
-// the small-instance API and the case-study figures.
+// Makespan re-costs an assignment under this table — e.g. a schedule
+// planned on predicted times, evaluated with measured ones. gpuOf holds
+// one GPU id per task; loads sum in task order.
+func (dt *DenseTimes) Makespan(gpuOf []int32) (float64, error) {
+	if err := dt.Validate(); err != nil {
+		return 0, err
+	}
+	if len(gpuOf) != dt.n {
+		return 0, fmt.Errorf("sched: assignment has %d tasks, table has %d", len(gpuOf), dt.n)
+	}
+	for i, g := range gpuOf {
+		if g < 0 || int(g) >= len(dt.gpus) {
+			return 0, fmt.Errorf("sched: task %d assigned to GPU id %d of %d", i, g, len(dt.gpus))
+		}
+	}
+	return exactMakespan(dt, gpuOf, make([]float64, len(dt.gpus))), nil
+}
+
+// Assignment expands the index form into the name-form Assignment the
+// map-form entry points and the case-study figures return.
 func (a *DenseAssignment) Assignment(dt *DenseTimes) Assignment {
 	out := Assignment{
 		GPUOf:    make([]string, len(a.GPUOf)),

@@ -10,7 +10,7 @@ import (
 
 // Cluster-scale makespan search. The paper's case study 3 brute-forces 6
 // tasks × 3 GPUs because prediction is fast; once the time table itself is
-// cheap (DenseTimes filled by one PredictSweep pass per (network, GPU)),
+// cheap (DenseTimes filled from one core.PredictGrid),
 // scheduling quality is bounded by search throughput. This file implements
 // the search stack for 10⁶-task instances:
 //
@@ -18,7 +18,7 @@ import (
 //     window as the construction heuristic;
 //   - searchState: task-move and task-swap neighborhoods evaluated as O(1)
 //     incremental load deltas against an indexed max-heap of GPU loads —
-//     never a full finishAssignment rescan;
+//     never a full finishDense rescan;
 //   - anneal/descend: simulated annealing with a seeded deterministic RNG,
 //     followed by strict-improvement descent;
 //   - Schedule: goroutine-per-restart multi-start with a deterministic
@@ -108,8 +108,8 @@ type SearchResult struct {
 
 // Schedule runs the full cluster-scale pipeline on a validated dense table:
 // lower bound, LPT-lookahead construction, multi-start annealing + descent,
-// deterministic reduction. It is the scalable counterpart of BruteForce and
-// what Auto routes oversized instances to.
+// deterministic reduction. It is the scalable counterpart of
+// BruteForceSchedule and what AutoSchedule routes oversized instances to.
 func Schedule(dt *DenseTimes, opt SearchOptions) (*SearchResult, error) {
 	if dt == nil {
 		return nil, errNilTable

@@ -4,9 +4,9 @@ import "fmt"
 
 // Policy is the pluggable scheduler-policy substrate: a named strategy
 // turning a dense time table into an assignment. Fleet-level consumers
-// (the planned fleetsim) select policies by configuration and compare them
-// on equal tables; everything here is deterministic for a fixed policy
-// value and table.
+// (fleetsim's planned routing, PlanRoute) select policies by configuration
+// and compare them on equal tables; everything here is deterministic for a
+// fixed policy value and table.
 type Policy interface {
 	// Name identifies the policy in reports and JSON summaries.
 	Name() string
@@ -35,10 +35,11 @@ func (p ListPolicy) Schedule(dt *DenseTimes) (*DenseAssignment, error) {
 }
 
 // InOrderPolicy is dense list scheduling in input order: each task in turn
-// goes to the GPU minimizing its completion time, no LPT sort. It models a
-// dispatcher that must place requests as they arrive, and is the baseline
-// the fleetsim policy-seam tests separate from ListPolicy by construction
-// (worst case 2 − 1/g on identical machines).
+// goes to the GPU minimizing its completion time (ties to the lowest id),
+// no LPT sort. It models a dispatcher that must place requests as they
+// arrive, is what GreedyInOrder runs, and is the baseline the fleetsim
+// policy-seam tests separate from ListPolicy by construction (worst case
+// 2 − 1/g on identical machines).
 type InOrderPolicy struct{}
 
 // Name implements Policy.

@@ -5,17 +5,17 @@
 // practical.
 //
 // Beyond the paper's 6-task scale, the package is a cluster-scale makespan
-// optimizer: DenseTimes holds the time table flat and gpu-major, Schedule
-// runs LPT-lookahead construction plus multi-start annealed local search
-// with O(1) incremental move evaluation, and LowerBound certifies the
-// optimality gap. Auto routes between the two regimes by instance size.
+// optimizer: DenseTimes holds the time table flat and gpu-major and is the
+// only table any algorithm reads, Schedule runs LPT-lookahead construction
+// plus multi-start annealed local search with O(1) incremental move
+// evaluation, and LowerBound certifies the optimality gap. AutoSchedule
+// routes between the two regimes by instance size.
 package sched
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Task is one network inference job in the queue.
@@ -27,7 +27,9 @@ type Task struct {
 }
 
 // Times holds per-GPU execution time estimates (or measurements) for a task
-// list: Times[gpuName][i] is task i's time on that GPU, in seconds.
+// list: Times[gpuName][i] is task i's time on that GPU, in seconds. It is
+// the input format of the map-form entry points; FromTimes converts it to
+// the DenseTimes every algorithm reads.
 type Times map[string][]float64
 
 // Validate checks that every GPU has one time per task and all are positive.
@@ -48,43 +50,9 @@ func (tm Times) Validate(nTasks int) error {
 	return nil
 }
 
-// gpuNames returns the map keys sorted, for deterministic iteration.
-func (tm Times) gpuNames() []string { return tm.gpuNamesInto(nil) }
-
-// gpuNamesInto is the buffer-reusing variant of gpuNames: the sorted keys
-// are appended into buf[:0], so a caller holding the returned slice across
-// calls sorts into cached storage instead of re-allocating each time.
-func (tm Times) gpuNamesInto(buf []string) []string {
-	buf = buf[:0]
-	for g := range tm {
-		buf = append(buf, g)
-	}
-	sort.Strings(buf)
-	return buf
-}
-
-// ChooseGPU returns, for each task, the GPU with the smallest time — the
-// per-network decision of Figure 18 ("which GPU runs the network faster").
-func ChooseGPU(tm Times, nTasks int) ([]string, error) {
-	if err := tm.Validate(nTasks); err != nil {
-		return nil, err
-	}
-	gpus := tm.gpuNames()
-	out := make([]string, nTasks)
-	for i := 0; i < nTasks; i++ {
-		best := gpus[0]
-		for _, g := range gpus[1:] {
-			if tm[g][i] < tm[best][i] {
-				best = g
-			}
-		}
-		out[i] = best
-	}
-	return out, nil
-}
-
 // Assignment maps each task index to a GPU and reports the resulting
-// per-GPU loads and makespan.
+// per-GPU loads and makespan. It is the name-form result of the map-form
+// entry points; DenseAssignment.Assignment builds it.
 type Assignment struct {
 	// GPUOf[i] is the GPU task i runs on.
 	GPUOf []string
@@ -94,76 +62,150 @@ type Assignment struct {
 	Makespan float64
 }
 
-// finishAssignment recomputes loads/makespan from GPUOf and the time table,
-// allocating a fresh load map; hot loops use finishAssignmentInto instead.
-func finishAssignment(a *Assignment, tm Times) {
-	finishAssignmentInto(a, tm, make(map[string]float64, len(tm)))
+// The map-form entry points below are the small-instance API the case
+// studies and the facade call. Each converts its table with FromTimes (GPU
+// ids in sorted name order, so ties resolve toward the lexicographically
+// first GPU), runs the dense algorithm and expands the result. FromTimes
+// rejects two inputs Validate alone accepts: an empty task list and an
+// empty GPU name.
+
+// onDense runs a dense scheduling algorithm on a map-form table.
+func onDense(tm Times, nTasks int, schedule func(*DenseTimes) (*DenseAssignment, error)) (Assignment, error) {
+	dt, err := FromTimes(tm, nTasks)
+	if err != nil {
+		return Assignment{}, err
+	}
+	a, err := schedule(dt)
+	if err != nil {
+		return Assignment{}, err
+	}
+	return a.Assignment(dt), nil
 }
 
-// finishAssignmentInto is the buffer-reusing variant: the caller's load map
-// is cleared, refilled, and installed as a.Load. When the map already holds
-// this table's GPU keys the recompute performs zero allocations, which is
-// what lets per-call schedulers amortize the map across a whole queue.
-func finishAssignmentInto(a *Assignment, tm Times, load map[string]float64) {
-	clear(load)
-	for g := range tm {
-		load[g] = 0
+// ChooseGPU returns, for each task, the GPU with the smallest time — the
+// per-network decision of Figure 18 ("which GPU runs the network faster").
+func ChooseGPU(tm Times, nTasks int) ([]string, error) {
+	dt, err := FromTimes(tm, nTasks)
+	if err != nil {
+		return nil, err
 	}
-	for i, g := range a.GPUOf {
-		load[g] += tm[g][i]
+	out := make([]string, nTasks)
+	for i, g := range taskMins(dt).arg {
+		out[i] = dt.gpus[g]
 	}
-	a.Load = load
-	a.Makespan = 0
-	for _, l := range a.Load {
-		if l > a.Makespan {
-			a.Makespan = l
+	return out, nil
+}
+
+// BruteForce is BruteForceSchedule on a map-form table.
+func BruteForce(tm Times, nTasks int) (Assignment, error) {
+	return onDense(tm, nTasks, BruteForceSchedule)
+}
+
+// Greedy is the longest-processing-time (LPT) heuristic, ListSchedule with
+// lookahead 1: tasks sorted by their best-GPU time descending, each placed
+// on the GPU minimizing the resulting completion time. Sorting
+// longest-first is what buys the classical approximation guarantee — on
+// identical machines LPT is within 4/3 − 1/(3g) of optimal (Graham 1969),
+// versus 2 − 1/g for arbitrary-order list scheduling — and heterogeneous
+// fleets inherit it as a strong baseline. GreedyInOrder keeps the unsorted
+// variant for comparison.
+func Greedy(tm Times, nTasks int) (Assignment, error) {
+	return onDense(tm, nTasks, func(dt *DenseTimes) (*DenseAssignment, error) {
+		return ListSchedule(dt, 1)
+	})
+}
+
+// GreedyInOrder is list scheduling in input order (InOrderPolicy): each
+// task in turn goes to the GPU minimizing its completion time, with no LPT
+// sort. This is the order-sensitive variant (worst case 2 − 1/g on
+// identical machines) kept for golden comparisons and for queues whose
+// arrival order is meaningful.
+func GreedyInOrder(tm Times, nTasks int) (Assignment, error) {
+	return onDense(tm, nTasks, InOrderPolicy{}.Schedule)
+}
+
+// Auto is AutoSchedule on a map-form table.
+func Auto(tm Times, nTasks int) (Assignment, bool, error) {
+	dt, err := FromTimes(tm, nTasks)
+	if err != nil {
+		return Assignment{}, false, err
+	}
+	a, exact, err := AutoSchedule(dt)
+	if err != nil {
+		return Assignment{}, false, err
+	}
+	return a.Assignment(dt), exact, nil
+}
+
+// MakespanOf evaluates an existing assignment under a different time table —
+// e.g. a predicted-time assignment re-costed with measured times, the
+// comparison behind Figure 19's "identical to the oracle" claim.
+func MakespanOf(gpuOf []string, tm Times) (float64, error) {
+	dt, err := FromTimes(tm, len(gpuOf))
+	if err != nil {
+		return 0, err
+	}
+	ids := make([]int32, len(gpuOf))
+	for i, name := range gpuOf {
+		g, ok := dt.GPUIndex(name)
+		if !ok {
+			return 0, fmt.Errorf("sched: assignment references unknown GPU %q", name)
 		}
+		ids[i] = int32(g)
 	}
+	return dt.Makespan(ids)
 }
 
-// maxBruteForceTasks bounds the exhaustive search (g^n assignments).
-const maxBruteForceTasks = 16
+// maxBruteForceTasks and maxBruteForceGPUs bound the exhaustive search
+// (g^n assignments).
+const (
+	maxBruteForceTasks = 16
+	maxBruteForceGPUs  = 4
+)
 
 // ErrSearchSpace marks a scheduling request whose exhaustive search space is
 // too large to enumerate (g^n assignments blow up exponentially). Callers
-// detect it with errors.Is and fall back to Greedy — or call Auto, which
-// does exactly that.
+// detect it with errors.Is and fall back to ListSchedule — or call
+// AutoSchedule, which falls back to Schedule.
 var ErrSearchSpace = errors.New("sched: search space too large for brute force")
 
-// BruteForce enumerates every assignment of tasks to GPUs and returns one
-// with minimal makespan ("thanks to the extremely fast execution, we can
-// easily run a brute force design space search", §6). It requires
-// len(tasks) ≤ 16 and at most 4 GPUs; beyond either limit it returns an
-// error wrapping ErrSearchSpace. Use Greedy (or Auto) beyond the limits.
-func BruteForce(tm Times, nTasks int) (Assignment, error) {
-	if err := tm.Validate(nTasks); err != nil {
-		return Assignment{}, err
+// BruteForceSchedule enumerates every assignment of tasks to GPUs and
+// returns one with minimal makespan ("thanks to the extremely fast
+// execution, we can easily run a brute force design space search", §6);
+// among equal makespans the first enumerated wins. It requires at most 16
+// tasks and at most 4 GPUs; beyond either limit it returns an error
+// wrapping ErrSearchSpace.
+func BruteForceSchedule(dt *DenseTimes) (*DenseAssignment, error) {
+	if dt == nil {
+		return nil, errNilTable
 	}
-	gpus := tm.gpuNames()
-	if nTasks > maxBruteForceTasks {
-		return Assignment{}, fmt.Errorf("%w: limited to %d tasks, got %d", ErrSearchSpace, maxBruteForceTasks, nTasks)
+	if err := dt.Validate(); err != nil {
+		return nil, err
 	}
-	if len(gpus) > 4 {
-		return Assignment{}, fmt.Errorf("%w: limited to 4 GPUs, got %d", ErrSearchSpace, len(gpus))
+	n, g := dt.n, len(dt.gpus)
+	if n > maxBruteForceTasks {
+		return nil, fmt.Errorf("%w: limited to %d tasks, got %d", ErrSearchSpace, maxBruteForceTasks, n)
+	}
+	if g > maxBruteForceGPUs {
+		return nil, fmt.Errorf("%w: limited to %d GPUs, got %d", ErrSearchSpace, maxBruteForceGPUs, g)
 	}
 
-	g := len(gpus)
 	total := 1
-	for i := 0; i < nTasks; i++ {
+	for i := 0; i < n; i++ {
 		total *= g
 	}
-	best := Assignment{Makespan: math.Inf(1)}
-	choice := make([]int, nTasks)
+	best := math.Inf(1)
+	bestChoice := make([]int32, n)
+	choice := make([]int32, n)
 	loads := make([]float64, g)
 	for code := 0; code < total; code++ {
 		c := code
-		for i := range loads {
-			loads[i] = 0
-		}
-		for i := 0; i < nTasks; i++ {
-			choice[i] = c % g
+		clear(loads)
+		for i := 0; i < n; i++ {
+			gp := c % g
 			c /= g
-			loads[choice[i]] += tm[gpus[choice[i]]][i]
+			choice[i] = int32(gp)
+			loads[gp] += dt.t[gp*n+i]
 		}
 		span := 0.0
 		for _, l := range loads {
@@ -171,136 +213,33 @@ func BruteForce(tm Times, nTasks int) (Assignment, error) {
 				span = l
 			}
 		}
-		if span < best.Makespan {
-			best.Makespan = span
-			best.GPUOf = make([]string, nTasks)
-			for i, ci := range choice {
-				best.GPUOf[i] = gpus[ci]
-			}
+		if span < best {
+			best = span
+			copy(bestChoice, choice)
 		}
 	}
-	finishAssignment(&best, tm)
-	return best, nil
+	a := &DenseAssignment{GPUOf: bestChoice}
+	finishDense(a, dt)
+	return a, nil
 }
 
-// Auto schedules with BruteForce when the search space permits; when
-// BruteForce reports ErrSearchSpace it routes to the cluster-scale path —
-// dense conversion, LPT-lookahead construction, and multi-start local
-// search via Schedule with default options. The returned flag is true when
-// the assignment is the exact optimum (brute force ran); validation errors
-// are returned as-is, never masked by the fallback.
-func Auto(tm Times, nTasks int) (Assignment, bool, error) {
-	a, err := BruteForce(tm, nTasks)
+// AutoSchedule runs BruteForceSchedule when the search space permits; when
+// it reports ErrSearchSpace it routes to the cluster-scale path —
+// LPT-lookahead construction and multi-start local search via Schedule with
+// default options. The returned flag is true when the assignment is the
+// exact optimum (brute force ran); validation errors are returned as-is,
+// never masked by the fallback.
+func AutoSchedule(dt *DenseTimes) (*DenseAssignment, bool, error) {
+	a, err := BruteForceSchedule(dt)
 	if err == nil {
 		return a, true, nil
 	}
 	if !errors.Is(err, ErrSearchSpace) {
-		return Assignment{}, false, err
-	}
-	dt, err := FromTimes(tm, nTasks)
-	if err != nil {
-		return Assignment{}, false, err
+		return nil, false, err
 	}
 	res, err := Schedule(dt, SearchOptions{})
 	if err != nil {
-		return Assignment{}, false, err
+		return nil, false, err
 	}
-	return res.Dense.Assignment(dt), false, nil
-}
-
-// Greedy is the longest-processing-time (LPT) heuristic: tasks sorted by
-// their best-GPU time descending, each placed on the GPU minimizing the
-// resulting completion time. Sorting longest-first is what buys the
-// classical approximation guarantee — on identical machines LPT is within
-// 4/3 − 1/(3g) of optimal (Graham 1969), versus 2 − 1/g for arbitrary-order
-// list scheduling — and heterogeneous fleets inherit it as a strong
-// baseline. GreedyInOrder keeps the unsorted variant for comparison.
-func Greedy(tm Times, nTasks int) (Assignment, error) {
-	if err := tm.Validate(nTasks); err != nil {
-		return Assignment{}, err
-	}
-	gpus := tm.gpuNames()
-	// Precompute each task's best-GPU time once: sorting with a comparator
-	// that rescans every GPU per comparison would cost O(n log n · g)
-	// redundant table reads.
-	keys := make([]float64, nTasks)
-	order := make([]int32, nTasks)
-	for i := range order {
-		order[i] = int32(i)
-		best := math.Inf(1)
-		for _, g := range gpus {
-			if tm[g][i] < best {
-				best = tm[g][i]
-			}
-		}
-		keys[i] = best
-	}
-	sortTasksByKeyDesc(order, keys)
-
-	a := Assignment{GPUOf: make([]string, nTasks)}
-	load := make(map[string]float64, len(gpus))
-	for _, task := range order {
-		i := int(task)
-		bestG, bestFinish := "", math.Inf(1)
-		for _, g := range gpus {
-			if f := load[g] + tm[g][i]; f < bestFinish {
-				bestFinish = f
-				bestG = g
-			}
-		}
-		a.GPUOf[i] = bestG
-		load[bestG] += tm[bestG][i]
-	}
-	finishAssignmentInto(&a, tm, load)
-	return a, nil
-}
-
-// GreedyInOrder is list scheduling in input order: each task in turn goes
-// to the GPU minimizing its completion time, with no LPT sort. This is the
-// order-sensitive variant (worst case 2 − 1/g on identical machines) kept
-// for golden comparisons and for queues whose arrival order is meaningful.
-func GreedyInOrder(tm Times, nTasks int) (Assignment, error) {
-	if err := tm.Validate(nTasks); err != nil {
-		return Assignment{}, err
-	}
-	gpus := tm.gpuNames()
-	a := Assignment{GPUOf: make([]string, nTasks)}
-	load := make(map[string]float64, len(gpus))
-	for i := 0; i < nTasks; i++ {
-		bestG, bestFinish := "", math.Inf(1)
-		for _, g := range gpus {
-			if f := load[g] + tm[g][i]; f < bestFinish {
-				bestFinish = f
-				bestG = g
-			}
-		}
-		a.GPUOf[i] = bestG
-		load[bestG] += tm[bestG][i]
-	}
-	finishAssignmentInto(&a, tm, load)
-	return a, nil
-}
-
-// MakespanOf evaluates an existing assignment under a different time table —
-// e.g. a predicted-time assignment re-costed with measured times, the
-// comparison behind Figure 19's "identical to the oracle" claim.
-func MakespanOf(gpuOf []string, tm Times) (float64, error) {
-	if err := tm.Validate(len(gpuOf)); err != nil {
-		return 0, err
-	}
-	load := map[string]float64{}
-	for i, g := range gpuOf {
-		ts, ok := tm[g]
-		if !ok {
-			return 0, fmt.Errorf("sched: assignment references unknown GPU %q", g)
-		}
-		load[g] += ts[i]
-	}
-	span := 0.0
-	for _, l := range load {
-		if l > span {
-			span = l
-		}
-	}
-	return span, nil
+	return res.Dense, false, nil
 }

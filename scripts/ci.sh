@@ -7,6 +7,10 @@
 #                         detrange, unitsafe, floateq, locksafe, staleplan,
 #                         allocfree, goroleak, httpcontract
 #   3. go test -race    — the full suite under the race detector
+#      fuzz             — every Fuzz* target for 10s past its seed corpus,
+#                         with seed minimisation off (-fuzzminimizetime 0:
+#                         minimising FuzzLoad's 23–38 kB seed envelopes
+#                         otherwise stalls it at 0 execs/s)
 #   4. serve smoke test — boot `dnnperf serve`, hit /healthz and /metrics;
 #                         then a 2-replica fleet: routing, 429 backpressure,
 #                         whole-fleet graceful drain
@@ -38,6 +42,16 @@ go run ./cmd/dnnlint ./...
 
 echo "== go test -race"
 go test -race ./...
+
+echo "== fuzz"
+# go test fuzzes one target per invocation; list them first so a listing
+# failure stops the gate instead of silently fuzzing nothing.
+fuzz_list=$(go test -list '^Fuzz' ./...)
+echo "$fuzz_list" | awk '/^Fuzz/ { t[n++] = $1 } /^ok/ { for (i = 0; i < n; i++) print $2, t[i]; n = 0 }' |
+	while read -r pkg target; do
+		echo "-- $pkg $target"
+		go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s -fuzzminimizetime 0 "$pkg"
+	done
 
 echo "== serve smoke test"
 ./scripts/serve_smoke.sh
