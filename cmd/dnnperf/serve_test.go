@@ -126,6 +126,11 @@ func TestServePredictBatchPostErrors(t *testing.T) {
 			http.StatusUnprocessableEntity},
 		{"forward input reference", `{"batches": [1], "network_spec": {"name": "x", "input_shape": [3, 8, 8],
 			"layers": [{"kind": "ReLU", "inputs": [5]}]}}`, http.StatusUnprocessableEntity},
+		// 2^64 input elements used to wrap to 0 FLOPs and predict the
+		// kernel floor at every batch.
+		{"overflowing spec", `{"batches": [1, 64], "network_spec": {"name": "x", "input_shape": [1, 4294967296, 4294967296],
+			"layers": [{"kind": "Conv2D", "cin": 1, "cout": 1, "kh": 1, "kw": 1, "stride": 1}]}}`,
+			http.StatusUnprocessableEntity},
 	}
 	for _, c := range cases {
 		if w := post(t, h, "/predict/batch", c.body); w.Code != c.want {

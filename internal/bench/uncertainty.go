@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/dnn"
 	"repro/internal/gpu"
 	"repro/internal/units"
@@ -43,13 +42,11 @@ func Uncertainty(l *Lab, g gpu.Spec) (*UncertaintyResult, error) {
 
 	// Measured kernel totals per held-out network, from the kernel records.
 	measured := map[string]units.Seconds{}
-	recsOf := map[string][]dataset.KernelRecord{}
 	for _, r := range test.Kernels {
 		if r.GPU != g.Name || r.BatchSize != TrainBatch {
 			continue
 		}
 		measured[r.Network] += r.Seconds
-		recsOf[r.Network] = append(recsOf[r.Network], r)
 	}
 	taskOf := map[string]string{}
 	for _, r := range test.Networks {
@@ -69,7 +66,14 @@ func Uncertainty(l *Lab, g gpu.Spec) (*UncertaintyResult, error) {
 		if taskOf[name] != string(dnn.TaskImageClassification) {
 			continue
 		}
-		iv := kw.PredictRecordsInterval(recsOf[name])
+		net, err := l.Network(name)
+		if err != nil {
+			return nil, err
+		}
+		iv, err := kw.PredictNetworkInterval(net, TrainBatch)
+		if err != nil {
+			return nil, err
+		}
 		if iv.Contains(meas) {
 			covered++
 		}

@@ -166,12 +166,6 @@ func FamilyOf(name string) string {
 	return name[:end]
 }
 
-// ClassifyFamilies runs the same R²-based classification at kernel-family
-// granularity, pooling all size variants of each family.
-func ClassifyFamilies(recs []dataset.KernelRecord) map[string]Classification {
-	return ClassifyKernels(familyRecords(recs))
-}
-
 // Group is a cluster of kernels sharing one regression model (§5.4:
 // "we combine kernels that demonstrate similar linear relationships and only
 // build one model for these kernels" — 182 kernels reduce to 83 models on

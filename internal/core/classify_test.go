@@ -197,7 +197,7 @@ func TestClassifyFamiliesPools(t *testing.T) {
 	var recs []dataset.KernelRecord
 	recs = append(recs, plantRecords("gemm_32x32", DriverOperation, 2e-9, 1e-6, 20, 11)...)
 	recs = append(recs, plantRecords("gemm_64x64", DriverOperation, 2e-9, 1e-6, 20, 12)...)
-	fams := ClassifyFamilies(recs)
+	fams := ClassifyKernels(familyRecords(recs))
 	c, ok := fams["gemm"]
 	if !ok {
 		t.Fatalf("families = %v", SortedKernels(fams))

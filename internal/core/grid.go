@@ -101,19 +101,3 @@ func (g *Grid) TimesForBatch(batchIdx int) map[string][]float64 {
 	}
 	return out
 }
-
-// sweepUncached is the fallback sweep: one uncached prediction per batch
-// size. Models take it when plan compilation fails, so sweep callers see the
-// same shape-inference errors PredictNetwork reports.
-func sweepUncached(n *dnn.Network, batches []int,
-	predict func(*dnn.Network, int) (units.Seconds, error)) ([]units.Seconds, error) {
-	out := make([]units.Seconds, len(batches))
-	for i, b := range batches {
-		v, err := predict(n, b)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/dataset"
 	"repro/internal/dnn"
 	"repro/internal/units"
 )
@@ -62,34 +61,24 @@ func (m *KWModel) groupRMSE(kernel string) float64 {
 }
 
 // PredictNetworkInterval predicts one batch's kernel-time total with an
-// uncertainty margin.
+// uncertainty margin. The point value is PredictNetwork's, read from the
+// compiled plan; the margin aggregates over the kernel names the network
+// dispatches at the batch, which shape inference (mutating n) resolves.
 func (m *KWModel) PredictNetworkInterval(n *dnn.Network, batch int) (Interval, error) {
+	pred, err := m.PredictNetwork(n, batch)
+	if err != nil {
+		return Interval{}, err
+	}
 	if err := n.Infer(batch); err != nil {
 		return Interval{}, err
 	}
-	var iv Interval
 	counts := map[string]int{}
 	for _, l := range n.Layers {
 		for _, k := range m.kernelsForLayer(l) {
-			iv.Predicted += m.PredictKernel(k.Name, units.FLOPs(k.LayerFLOPs), k.LayerInputElems, k.LayerOutputElems)
 			counts[k.Name]++
 		}
 	}
-	iv.Margin = m.aggregateMargin(counts)
-	return iv, nil
-}
-
-// PredictRecordsInterval is PredictNetworkInterval over structural kernel
-// records.
-func (m *KWModel) PredictRecordsInterval(recs []dataset.KernelRecord) Interval {
-	var iv Interval
-	counts := map[string]int{}
-	for _, r := range recs {
-		iv.Predicted += m.PredictKernel(r.Kernel, r.LayerFLOPs, r.LayerInputElems, r.LayerOutputElems)
-		counts[r.Kernel]++
-	}
-	iv.Margin = m.aggregateMargin(counts)
-	return iv
+	return Interval{Predicted: pred, Margin: m.aggregateMargin(counts)}, nil
 }
 
 // aggregateMargin combines per-kernel-name counts into the network margin.

@@ -4,8 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/dataset"
-	"repro/internal/gpu"
+	"repro/internal/dnn"
 	"repro/internal/units"
 )
 
@@ -24,83 +23,101 @@ func TestIntervalBounds(t *testing.T) {
 	}
 }
 
-func TestPredictRecordsIntervalCoverage(t *testing.T) {
-	// Planted data with noise: the measured totals of fresh networks should
-	// mostly fall inside ±2σ.
-	train := plantKernelDataset(gpu.A100, 5)
-	// Add noise so RMSE is non-trivial.
-	for i := range train.Kernels {
-		jitter := 1 + 0.05*float64(i%7-3)/3
-		train.Kernels[i].Seconds = units.Seconds(float64(train.Kernels[i].Seconds) * jitter)
-	}
+// intervalFixture fits a KW model on a seeded network split of the
+// zoo-sample dataset and returns it with the held-out networks' measured
+// kernel totals at the training batch.
+func intervalFixture(t *testing.T) (*KWModel, map[string]units.Seconds) {
+	t.Helper()
+	train, test := buildSampleDataset(t, false).SplitByNetwork(0.3, 1)
 	m, err := FitKW(train, "A100", 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range m.Groups {
-		if g.RMSE <= 0 {
-			t.Fatalf("group %v has zero RMSE on noisy data", g.Kernels)
+	measured := map[string]units.Seconds{}
+	for _, r := range test.Kernels {
+		if r.BatchSize == 512 {
+			measured[r.Network] += r.Seconds
 		}
 	}
+	return m, measured
+}
 
-	test := plantKernelDataset(gpu.A100, 7)
-	// Evaluate per synthetic network.
-	byNet := map[string][]int{}
-	for i, r := range test.Kernels {
-		byNet[r.Network] = append(byNet[r.Network], i)
+func TestPredictNetworkIntervalCoverage(t *testing.T) {
+	// The measured kernel totals of held-out networks should mostly fall
+	// inside ±2σ.
+	m, measured := intervalFixture(t)
+	nets := map[string]*dnn.Network{}
+	for _, n := range zooSample() {
+		nets[n.Name] = n
 	}
 	covered, total := 0, 0
-	for _, idxs := range byNet {
-		var meas units.Seconds
-		recs := test.Kernels[:0:0]
-		for _, i := range idxs {
-			meas += test.Kernels[i].Seconds
-			recs = append(recs, test.Kernels[i])
+	for _, name := range sortedStringKeys(measured) {
+		iv, err := m.PredictNetworkInterval(nets[name], 512)
+		if err != nil {
+			t.Fatal(err)
 		}
-		iv := m.PredictRecordsInterval(recs)
 		if iv.Margin <= 0 {
-			t.Fatal("zero margin on noisy model")
+			t.Fatalf("%s: zero margin on noisy measurements", name)
 		}
-		if iv.Contains(meas) {
+		if iv.Contains(measured[name]) {
 			covered++
 		}
 		total++
 	}
-	if covered < total/2 {
+	t.Logf("coverage %d/%d", covered, total)
+	if total == 0 || covered < total/2 {
 		t.Fatalf("coverage %d/%d implausibly low", covered, total)
 	}
 }
 
 func TestIntervalConsistentWithPointPrediction(t *testing.T) {
-	ds := plantKernelDataset(gpu.A100, 4)
-	m, err := FitKW(ds, "A100", 512)
+	m, err := FitKW(buildSampleDataset(t, false), "A100", 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := ds.Kernels[:90]
-	iv := m.PredictRecordsInterval(recs)
-	pt := m.PredictRecords(recs)
-	if math.Abs(float64(iv.Predicted-pt))/float64(pt) > 1e-12 {
-		t.Fatalf("interval center %v != point prediction %v", iv.Predicted, pt)
+	for _, n := range zooSample() {
+		for _, batch := range planFixtureBatches {
+			iv, ivErr := m.PredictNetworkInterval(n, batch)
+			pt, ptErr := m.PredictNetwork(n, batch)
+			if (ivErr == nil) != (ptErr == nil) {
+				t.Fatalf("%s@%d: interval err %v, point err %v", n.Name, batch, ivErr, ptErr)
+			}
+			if ivErr == nil && iv.Predicted != pt {
+				t.Fatalf("%s@%d: interval center %v != point prediction %v", n.Name, batch, iv.Predicted, pt)
+			}
+		}
 	}
+}
+
+// convStack returns a network of k identical shape-preserving 3×3
+// convolutions, so every layer dispatches the same kernel names.
+func convStack(k int) *dnn.Network {
+	n := dnn.New("convstack", "test", dnn.TaskImageClassification, dnn.Shape{64, 56, 56})
+	in := dnn.NetworkInput
+	for i := 0; i < k; i++ {
+		in = n.Conv(in, 64, 64, 3, 1, 1)
+	}
+	return n
 }
 
 func TestMarginGrowsWithRepeats(t *testing.T) {
 	// Correlated aggregation: k repeats of the same kernel scale the margin
 	// by k, not √k.
-	ds := plantKernelDataset(gpu.A100, 5)
-	for i := range ds.Kernels {
-		ds.Kernels[i].Seconds = units.Seconds(float64(ds.Kernels[i].Seconds) * (1 + 0.03*float64(i%5-2)))
-	}
-	m, err := FitKW(ds, "A100", 512)
+	m, err := FitKW(buildSampleDataset(t, false), "A100", 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := ds.Kernels[0]
-	m1 := m.PredictRecordsInterval(ds.Kernels[:1]).Margin
-	m4 := m.PredictRecordsInterval([]dataset.KernelRecord{rec, rec, rec, rec}).Margin
+	iv1, err := m.PredictNetworkInterval(convStack(1), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv4, err := m.PredictNetworkInterval(convStack(4), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1, m4 := iv1.Margin, iv4.Margin
 	if m1 <= 0 {
-		t.Fatal("zero single-kernel margin")
+		t.Fatal("zero single-layer margin")
 	}
 	if math.Abs(float64(m4-4*m1))/float64(4*m1) > 1e-9 {
 		t.Fatalf("margin for 4 repeats = %v, want 4×%v", m4, m1)

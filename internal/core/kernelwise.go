@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/dataset"
 	"repro/internal/dnn"
 	"repro/internal/kernels"
 	"repro/internal/obs"
@@ -86,12 +85,10 @@ type kernelWise struct {
 	gpu  string
 	kind modelKind
 
-	// plans caches compiled prediction plans per network and layerPlans
-	// caches resolved per-layer term lists (see plan.go). Both make repeated
-	// predictions allocation-free and safe for concurrent use; coefficient
-	// changes clear them. Zero values are ready.
-	plans      cache.Sharded[planKey, *Plan]
-	layerPlans cache.Sharded[layerKey, []layerTerm]
+	// plans caches compiled prediction plans per network (see plan.go),
+	// which makes repeated predictions allocation-free and safe for
+	// concurrent use; coefficient changes clear it. The zero value is ready.
+	plans cache.Sharded[planKey, *Plan]
 }
 
 // Name implements Predictor: "KW" or "IGKW".
@@ -162,9 +159,9 @@ func (m *kernelWise) PredictNetwork(n *dnn.Network, batch int) (units.Seconds, e
 // bit-identical to calling PredictNetwork per batch size; the win is that
 // the per-call overhead (fingerprint, cache lookup, timer) is paid once for
 // the whole sweep and the plan's segments stay hot across batch sizes. All
-// batch sizes must be positive and at most the plan's MaxBatch. If plan
-// compilation fails the sweep falls back to the uncached path, mirroring
-// PredictNetwork.
+// batch sizes must be positive and at most the plan's MaxBatch. A network
+// whose plan fails to compile (its shape inference fails) returns that
+// error.
 func (m *kernelWise) PredictSweep(n *dnn.Network, batches []int) ([]units.Seconds, error) {
 	tm := obs.StartTimer(metricSweepPredict)
 	defer tm.Stop()
@@ -176,7 +173,7 @@ func (m *kernelWise) PredictSweep(n *dnn.Network, batches []int) ([]units.Second
 	observeSweep(len(batches))
 	p, err := m.planFor(n)
 	if err != nil {
-		return sweepUncached(n, batches, m.PredictNetworkUncached)
+		return nil, err
 	}
 	for _, b := range batches {
 		if err := p.CheckBatch(b); err != nil {
@@ -242,37 +239,24 @@ func (m *kernelWise) launchCount(n *dnn.Network) int {
 	return p.EntryCount()
 }
 
-// PredictLayerTime predicts one layer's execution time: the sum of its
-// kernels' predictions. The layer must have inferred shapes. This is the
-// per-layer granularity the disaggregated-memory case study schedules with.
-// Resolved (line, driver value) terms are cached per layer signature, so the
-// scheduling loops that call this per layer per configuration pay the kernel
-// resolution once.
-func (m *kernelWise) PredictLayerTime(l *dnn.Layer) units.Seconds {
-	key := layerKeyFor(l, m.Training)
-	terms, err := m.layerPlans.GetOrCompute(key, func() ([]layerTerm, error) {
-		ks := m.kernelsForLayer(l)
-		out := make([]layerTerm, len(ks))
-		for i, k := range ks {
-			kl := m.lines.resolve(k.Name, k.LayerFLOPs == 0)
-			x := driverValue(kl.driver, units.FLOPs(k.LayerFLOPs), k.LayerInputElems, k.LayerOutputElems)
-			out[i] = layerTerm{line: kl.line, x: x}
-		}
-		return out, nil
-	})
+// PredictLayers predicts each layer's execution time at the batch size —
+// the sum of its kernels' predictions, 0 for a layer that launches none —
+// in n.Layers order. This is the per-layer granularity the
+// disaggregated-memory case study schedules with. It reads the cached
+// compiled plan, so n is never mutated, and each layer's time adds its
+// kernels' terms in the order PredictNetworkUncached does.
+func (m *kernelWise) PredictLayers(n *dnn.Network, batch int) ([]units.Seconds, error) {
+	if batch <= 0 {
+		return nil, fmt.Errorf("core: %s per-layer prediction of %q: batch size %d must be positive", m.Name(), n.Name, batch)
+	}
+	p, err := m.planFor(n)
 	if err != nil {
-		return 0 // unreachable: the compute function never errors
+		return nil, err
 	}
-	return predictTerms(terms)
-}
-
-// PredictRecords predicts the end-to-end time implied by a set of kernel
-// records (their structural fields only — durations are ignored). Useful
-// for evaluating the regression layer in isolation from the mapping table.
-func (m *kernelWise) PredictRecords(recs []dataset.KernelRecord) units.Seconds {
-	var total units.Seconds
-	for _, r := range recs {
-		total += m.PredictKernel(r.Kernel, r.LayerFLOPs, r.LayerInputElems, r.LayerOutputElems)
+	if err := p.CheckBatch(batch); err != nil {
+		return nil, err
 	}
-	return total
+	out := make([]units.Seconds, len(n.Layers))
+	p.PredictLayersInto(out, batch)
+	return out, nil
 }

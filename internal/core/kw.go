@@ -125,7 +125,6 @@ func FitKWOptions(ds *dataset.Dataset, gpuName string, trainBatch int, opt KWOpt
 	}
 	m.initOnline(recs, opt)
 	m.plans.RegisterMetrics("core_kw_plan_cache")
-	m.layerPlans.RegisterMetrics("core_kw_layer_cache")
 	return m, nil
 }
 

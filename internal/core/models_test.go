@@ -159,14 +159,14 @@ func TestKWModelOnPlantedData(t *testing.T) {
 	if math.Abs(got-want)/want > 0.02 {
 		t.Fatalf("kernel prediction = %v, want %v", got, want)
 	}
-	// PredictRecords sums the regressions over the record list.
+	// predictRecords sums the regressions over the record list.
 	var sum float64
 	for _, r := range ds.Kernels[:90] { // one network's records
 		sum += float64(r.Seconds)
 	}
-	pred := float64(m.PredictRecords(ds.Kernels[:90]))
+	pred := float64(predictRecords(&m.kernelWise, ds.Kernels[:90]))
 	if math.Abs(pred-sum)/sum > 0.02 {
-		t.Fatalf("PredictRecords = %v, want ≈ %v", pred, sum)
+		t.Fatalf("predictRecords = %v, want ≈ %v", pred, sum)
 	}
 }
 
@@ -214,7 +214,7 @@ func TestIGKWRecoversBandwidthScaling(t *testing.T) {
 	for _, r := range target.Kernels {
 		want += float64(r.Seconds)
 	}
-	got := float64(m.PredictRecords(target.Kernels))
+	got := float64(predictRecords(&m.kernelWise, target.Kernels))
 	if math.Abs(got-want)/want > 0.05 {
 		t.Fatalf("IGKW prediction = %v, want ≈ %v", got, want)
 	}
@@ -348,9 +348,10 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 }
 
-// TestKWPredictLayerTime checks the per-layer prediction used by the
-// disaggregated-memory case study.
-func TestKWPredictLayerTime(t *testing.T) {
+// TestKWPredictLayers checks the per-layer prediction used by the
+// disaggregated-memory case study: one non-negative time per layer, summing
+// to the network prediction.
+func TestKWPredictLayers(t *testing.T) {
 	nets := []*dnn.Network{zoo.MustResNet(18), zoo.MustVGG(11, false)}
 	opt := dataset.DefaultBuildOptions()
 	opt.Batches = 3
@@ -365,14 +366,17 @@ func TestKWPredictLayerTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := zoo.MustResNet(18)
-	if err := net.Infer(512); err != nil {
+	times, err := kw.PredictLayers(net, 512)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if len(times) != len(net.Layers) {
+		t.Fatalf("%d layer times for %d layers", len(times), len(net.Layers))
+	}
 	var sum units.Seconds
-	for _, l := range net.Layers {
-		lt := kw.PredictLayerTime(l)
+	for i, lt := range times {
 		if lt < 0 {
-			t.Fatalf("negative layer time for %s", l.Name)
+			t.Fatalf("negative layer time for %s", net.Layers[i].Name)
 		}
 		sum += lt
 	}
@@ -383,6 +387,22 @@ func TestKWPredictLayerTime(t *testing.T) {
 	if math.Abs(float64(sum-whole))/float64(whole) > 1e-9 {
 		t.Fatalf("Σ layer predictions %v != network prediction %v", sum, whole)
 	}
+	for _, batch := range []int{0, -1} {
+		if _, err := kw.PredictLayers(net, batch); err == nil {
+			t.Errorf("PredictLayers at batch %d: no error", batch)
+		}
+	}
+}
+
+// predictRecords predicts the end-to-end time implied by a set of kernel
+// records (their structural fields only — durations are ignored), which
+// evaluates the regression layer in isolation from the mapping table.
+func predictRecords(m *kernelWise, recs []dataset.KernelRecord) units.Seconds {
+	var total units.Seconds
+	for _, r := range recs {
+		total += m.PredictKernel(r.Kernel, r.LayerFLOPs, r.LayerInputElems, r.LayerOutputElems)
+	}
+	return total
 }
 
 func TestGroupSummaries(t *testing.T) {

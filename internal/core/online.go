@@ -319,10 +319,9 @@ func (m *KWModel) ObserveRecords(recs []dataset.KernelRecord) (groups, newKernel
 	buildMapping(m.Mapping, recs)
 	m.rebuildFromAccumulators()
 
-	// The regression structure changed: every compiled plan and cached layer
-	// term list may now be stale.
+	// The regression structure changed: every compiled plan may now be
+	// stale.
 	m.plans.Clear()
-	m.layerPlans.Clear()
 
 	for _, name := range sortedStringKeys(m.GroupOf) {
 		if !before[name] {

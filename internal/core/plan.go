@@ -62,6 +62,10 @@ type Plan struct {
 	// the end offset of entry i's segments within segs.
 	segs     []planSeg
 	entryEnd []int32
+	// layerEnd[l] is the end offset of layer l's entries within entryEnd,
+	// one slot per network layer in n.Layers order; a layer that launches
+	// no kernels ends where its predecessor did.
+	layerEnd []int32
 
 	// MaxBatch is the largest batch size the plan predicts exactly: the
 	// largest b at which every segment's driver value xPer·b + xConst stays
@@ -106,15 +110,7 @@ func (p *Plan) Predict(batch int) units.Seconds {
 	start := 0
 	for _, e := range p.entryEnd {
 		end := int(e)
-		seg := &p.segs[start]
-		for i := end - 1; i > start; i-- {
-			if p.segs[i].minBatch <= batch {
-				seg = &p.segs[i]
-				break
-			}
-		}
-		x := float64(seg.xPer*int64(batch) + seg.xConst)
-		total += clampTime(units.Seconds(seg.line.Predict(x)))
+		total += entryTime(p.segs[start:end], batch)
 		start = end
 	}
 	return total
@@ -156,18 +152,44 @@ func (p *Plan) PredictSweepInto(dst []units.Seconds, batches []int) {
 			continue
 		}
 		for j, batch := range batches {
-			seg := &p.segs[start]
-			for i := end - 1; i > start; i-- {
-				if p.segs[i].minBatch <= batch {
-					seg = &p.segs[i]
-					break
-				}
-			}
-			x := float64(seg.xPer*int64(batch) + seg.xConst)
-			dst[j] += clampTime(units.Seconds(seg.line.Predict(x)))
+			dst[j] += entryTime(p.segs[start:end], batch)
 		}
 		start = end
 	}
+}
+
+// PredictLayersInto writes each layer's predicted seconds at the batch into
+// dst (which must have at least one element per network layer), in network
+// layer order; a layer that launches no kernels gets 0. Each slot sums its
+// layer's entries through the same expression, in the same order, as
+// Predict. It performs no allocation and is safe to call concurrently.
+//
+//dnnperf:allocfree
+func (p *Plan) PredictLayersInto(dst []units.Seconds, batch int) {
+	entry, start := 0, 0
+	for li, le := range p.layerEnd {
+		var total units.Seconds
+		for ; entry < int(le); entry++ {
+			end := int(p.entryEnd[entry])
+			total += entryTime(p.segs[start:end], batch)
+			start = end
+		}
+		dst[li] = total
+	}
+}
+
+// entryTime is one entry's predicted seconds at the batch, given the
+// entry's segments (ascending by minBatch): the last segment starting at or
+// below the batch applies.
+//
+//dnnperf:allocfree
+func entryTime(segs []planSeg, batch int) units.Seconds {
+	i := len(segs) - 1
+	for i > 0 && segs[i].minBatch > batch {
+		i--
+	}
+	x := float64(segs[i].xPer*int64(batch) + segs[i].xConst)
+	return clampTime(units.Seconds(segs[i].line.Predict(x)))
 }
 
 // driverAffine holds the affine batch→value maps of one kernel's three
@@ -361,7 +383,8 @@ func compilePlan(n *dnn.Network, m *kernelWise) (*Plan, error) {
 
 	// Assemble the plan by walking the layers in network order, copying each
 	// one's distinct compilation — the same segment values, in the same
-	// order, the per-breakpoint full-network compiler produced.
+	// order, the per-breakpoint full-network compiler produced — and
+	// recording where each layer's entries end.
 	totalSegs, totalEntries := 0, 0
 	for _, d := range repOf {
 		totalSegs += len(dists[d].segs)
@@ -370,13 +393,15 @@ func compilePlan(n *dnn.Network, m *kernelWise) (*Plan, error) {
 	p := &Plan{Network: n.Name, GPU: m.gpu}
 	p.segs = make([]planSeg, 0, totalSegs)
 	p.entryEnd = make([]int32, 0, totalEntries)
-	for _, d := range repOf {
+	p.layerEnd = make([]int32, len(repOf))
+	for li, d := range repOf {
 		dl := &dists[d]
 		base := int32(len(p.segs))
 		p.segs = append(p.segs, dl.segs...)
 		for _, e := range dl.end {
 			p.entryEnd = append(p.entryEnd, base+e)
 		}
+		p.layerEnd[li] = int32(len(p.entryEnd))
 	}
 	p.MaxBatch = maxExactBatch(p.segs)
 	return p, nil
@@ -474,37 +499,6 @@ type planKey struct {
 // Hash implements cache.Hasher.
 func (k planKey) Hash() uint64 { return k.fp }
 
-// layerKey identifies a per-layer term list in the layer-prediction cache.
-// The signature pins the layer's kind, parameters and first-input/output
-// shapes; the summed input element count disambiguates multi-input layers
-// whose extra inputs the signature does not cover.
-type layerKey struct {
-	sig     string
-	inElems int64
-	h       uint64
-}
-
-// Hash implements cache.Hasher.
-func (k layerKey) Hash() uint64 { return k.h }
-
-// layerTerm is one kernel's resolved (line, driver value) pair within a
-// cached layer prediction.
-type layerTerm struct {
-	line regression.Line
-	x    float64
-}
-
-// predictTerms sums a cached layer's kernel predictions.
-//
-//dnnperf:allocfree
-func predictTerms(terms []layerTerm) units.Seconds {
-	var total units.Seconds
-	for _, t := range terms {
-		total += clampTime(units.Seconds(t.line.Predict(t.x)))
-	}
-	return total
-}
-
 // FNV-1a, hand-rolled so fingerprinting allocates nothing.
 const (
 	fnvOffset64 = 14695981039346656037
@@ -592,21 +586,4 @@ func networkFingerprint(n *dnn.Network, training bool) uint64 {
 // networks can share a name.
 func NetworkFingerprint(n *dnn.Network, training bool) uint64 {
 	return networkFingerprint(n, training)
-}
-
-// layerKeyFor builds the cache key of one inferred layer.
-func layerKeyFor(l *dnn.Layer, training bool) layerKey {
-	sig := l.Signature()
-	inElems := int64(0)
-	for _, s := range l.InShapes {
-		inElems += s.Numel()
-	}
-	if inElems == 0 {
-		inElems = l.InShape.Numel()
-	}
-	h := fnv64(fnvOffset64)
-	h.str(sig)
-	h.u64(uint64(inElems))
-	h.flag(training)
-	return layerKey{sig: sig, inElems: inElems, h: uint64(h)}
 }

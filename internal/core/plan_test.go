@@ -65,6 +65,38 @@ func assertPlanIdentity(t *testing.T, predict func(*dnn.Network, int) (units.Sec
 	}
 }
 
+// assertLayerIdentity checks that the plan's per-layer times equal the
+// reference per-layer sum — PredictKernel over kernelsForLayer at the
+// inferred shapes — bit for bit, for every network in the sample at every
+// fixture batch size.
+func assertLayerIdentity(t *testing.T, m *kernelWise) {
+	t.Helper()
+	for _, n := range zooSample() {
+		for _, batch := range planFixtureBatches {
+			ref := n.Clone()
+			if err := ref.Infer(batch); err != nil {
+				if _, err := m.PredictLayers(n, batch); err == nil {
+					t.Fatalf("%s@%d: reference fails to infer, plan does not", n.Name, batch)
+				}
+				continue
+			}
+			got, err := m.PredictLayers(n, batch)
+			if err != nil {
+				t.Fatalf("%s@%d: %v", n.Name, batch, err)
+			}
+			for i, l := range ref.Layers {
+				var want units.Seconds
+				for _, k := range m.kernelsForLayer(l) {
+					want += m.PredictKernel(k.Name, units.FLOPs(k.LayerFLOPs), k.LayerInputElems, k.LayerOutputElems)
+				}
+				if got[i] != want {
+					t.Fatalf("%s@%d layer %d (%s): plan %v != reference %v", n.Name, batch, i, l.Name, got[i], want)
+				}
+			}
+		}
+	}
+}
+
 // TestKWPlanBitIdentical is the accuracy-preservation proof for the inference
 // model: the compiled-plan fast path must be bit-identical to the original
 // Infer-and-sum path for every zoo-sample network at every batch size.
@@ -75,6 +107,7 @@ func TestKWPlanBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertPlanIdentity(t, kw.PredictNetwork, kw.PredictNetworkUncached)
+	assertLayerIdentity(t, &kw.kernelWise)
 }
 
 // TestKWPlanBitIdenticalTraining repeats the identity proof for a
@@ -87,6 +120,7 @@ func TestKWPlanBitIdenticalTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertPlanIdentity(t, kw.PredictNetwork, kw.PredictNetworkUncached)
+	assertLayerIdentity(t, &kw.kernelWise)
 }
 
 // TestIGKWPlanBitIdentical repeats the identity proof for the
@@ -101,6 +135,7 @@ func TestIGKWPlanBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertPlanIdentity(t, m.PredictNetwork, m.PredictNetworkUncached)
+	assertLayerIdentity(t, &m.kernelWise)
 }
 
 // TestKWAndIGKWPredictAllocFree checks the steady-state PredictNetwork of
@@ -137,6 +172,29 @@ func TestKWAndIGKWPredictAllocFree(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s PredictNetwork: %v allocs per call, want 0", name, allocs)
 		}
+	}
+}
+
+// TestPredictLayersIntoAllocFree checks the per-layer plan evaluation at 0
+// allocs per call into a reused buffer.
+func TestPredictLayersIntoAllocFree(t *testing.T) {
+	kw, err := FitKW(plantKernelDataset(gpu.A100, 3), "A100", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := zoo.MustResNet(50)
+	p, err := kw.CompiledPlan(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]units.Seconds, len(net.Layers))
+	batch := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		batch = batch%512 + 1
+		p.PredictLayersInto(dst, batch)
+	})
+	if allocs != 0 {
+		t.Errorf("PredictLayersInto: %v allocs per call, want 0", allocs)
 	}
 }
 

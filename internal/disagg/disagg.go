@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/dnn"
 	"repro/internal/obs"
 	"repro/internal/units"
 )
@@ -59,6 +60,26 @@ type LayerJob struct {
 	// RemoteBytes is the traffic the prefetcher moves over the link for
 	// this layer.
 	RemoteBytes units.Bytes
+}
+
+// NetworkJobs assembles one job per layer of the network at the batch size,
+// in layer order: compute holds one compute time per layer (from a
+// performance model), and the remote traffic is the layer's FP32 weights
+// plus its input and output activations. It infers n's shapes at the batch.
+func NetworkJobs(n *dnn.Network, batch int, compute []units.Seconds) ([]LayerJob, error) {
+	if err := n.Infer(batch); err != nil {
+		return nil, err
+	}
+	jobs := make([]LayerJob, len(n.Layers))
+	for i, l := range n.Layers {
+		traffic := 4 * l.WeightCount()
+		for _, s := range l.InShapes {
+			traffic += 4 * s.Numel()
+		}
+		traffic += 4 * l.OutShape.Numel()
+		jobs[i] = LayerJob{Name: l.Name, ComputeSeconds: compute[i], RemoteBytes: units.Bytes(traffic)}
+	}
+	return jobs, nil
 }
 
 // Result summarizes one simulation.

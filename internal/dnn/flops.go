@@ -1,6 +1,9 @@
 package dnn
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // FLOPs conventions follow the paper (§2.2): FLOPs counts floating-point
 // *multiplications* required by the theoretical algorithm, as produced by
@@ -23,7 +26,8 @@ const (
 
 // LayerFLOPs returns the theoretical FLOPs of a layer at its inferred shapes.
 // The network must have been inferred (Network.Infer) first; layers with
-// un-inferred shapes return 0.
+// un-inferred shapes return 0. A count that does not fit in int64
+// saturates at math.MaxInt64, which Infer rejects.
 func LayerFLOPs(l *Layer) int64 {
 	if len(l.OutShape) == 0 {
 		return 0
@@ -36,38 +40,38 @@ func LayerFLOPs(l *Layer) int64 {
 		}
 		// N · Cout · H' · W' · (Cin/g) · Kh · Kw
 		out := l.OutShape
-		return int64(out[0]) * int64(out[1]) * int64(out[2]) * int64(out[3]) *
-			int64(l.Cin/g) * int64(l.KH) * int64(l.KW)
+		return prod(int64(out[0]), int64(out[1]), int64(out[2]), int64(out[3]),
+			int64(l.Cin/g), int64(l.KH), int64(l.KW))
 
 	case KindLinear:
 		// Every position in the output multiplies an InFeatures-long vector.
-		return l.OutShape.Numel() * int64(l.InFeatures)
+		return mulSat(l.OutShape.Numel(), int64(l.InFeatures))
 
 	case KindBatchNorm:
-		return l.OutShape.Numel() * flopsPerElemBN
+		return mulSat(l.OutShape.Numel(), flopsPerElemBN)
 
 	case KindLayerNorm:
-		return l.OutShape.Numel() * flopsPerElemLN
+		return mulSat(l.OutShape.Numel(), flopsPerElemLN)
 
 	case KindReLU, KindReLU6, KindSigmoid:
-		return l.OutShape.Numel() * flopsPerElemAct
+		return mulSat(l.OutShape.Numel(), flopsPerElemAct)
 
 	case KindGELU:
-		return l.OutShape.Numel() * flopsPerElemGELU
+		return mulSat(l.OutShape.Numel(), flopsPerElemGELU)
 
 	case KindSoftmax:
-		return l.OutShape.Numel() * flopsPerElemSoftmax
+		return mulSat(l.OutShape.Numel(), flopsPerElemSoftmax)
 
 	case KindMaxPool2D, KindAvgPool2D:
 		// One comparison/accumulate per window element per output element.
-		return l.OutShape.Numel() * int64(l.KH) * int64(l.KW)
+		return prod(l.OutShape.Numel(), int64(l.KH), int64(l.KW))
 
 	case KindGlobalAvgPool:
 		// One accumulate per input element.
 		return l.InShape.Numel()
 
 	case KindAdd:
-		return l.OutShape.Numel() * flopsPerElemAdd
+		return mulSat(l.OutShape.Numel(), flopsPerElemAdd)
 
 	case KindMatMul:
 		// Per head: (T × d) · (d × T) or (T × T) · (T × d); both cost T·T·d
@@ -80,7 +84,7 @@ func LayerFLOPs(l *Layer) int64 {
 		} else {
 			d = int64(l.InShapes[1][2]) / int64(l.Heads)
 		}
-		return n * int64(l.Heads) * t * t * d
+		return prod(n, int64(l.Heads), t, t, d)
 
 	case KindConcat, KindFlatten, KindDropout, KindChannelShuffle,
 		KindEmbedding, KindReshapeTokens, KindIdentity:
@@ -98,9 +102,22 @@ func (n *Network) TotalFLOPs() (int64, error) {
 	}
 	var total int64
 	for _, l := range n.Layers {
-		total += LayerFLOPs(l)
+		f := LayerFLOPs(l)
+		if f > math.MaxInt64-total {
+			return 0, fmt.Errorf("dnn: network %q: total FLOPs overflow int64", n.Name)
+		}
+		total += f
 	}
 	return total, nil
+}
+
+// prod multiplies the factors left to right through mulSat.
+func prod(factors ...int64) int64 {
+	p := int64(1)
+	for _, f := range factors {
+		p = mulSat(p, f)
+	}
+	return p
 }
 
 // FLOPsAt is a convenience that infers the network at the given batch size

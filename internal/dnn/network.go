@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -188,6 +189,9 @@ func (n *Network) Infer(batch int) error {
 		return fmt.Errorf("dnn: network %q has invalid input shape %s", n.Name, n.InputShape)
 	}
 	netIn := n.InputShape.WithBatch(batch)
+	if !netIn.fits() {
+		return fmt.Errorf("dnn: network %q: input %s has more elements than int64 holds", n.Name, netIn)
+	}
 
 	for i, l := range n.Layers {
 		if err := l.validate(); err != nil {
@@ -212,6 +216,9 @@ func (n *Network) Infer(batch int) error {
 		l.InShape = ins[0]
 		l.InShapes = ins
 		l.OutShape = out
+		if !out.fits() || LayerFLOPs(l) == math.MaxInt64 {
+			return fmt.Errorf("dnn: network %q: layer %d (%q): output %s or its FLOPs overflow int64", n.Name, i, l.Name, out)
+		}
 	}
 	n.batch = batch
 	return nil
@@ -342,6 +349,9 @@ func inferLayer(l *Layer, ins []Shape) (Shape, error) {
 					return nil, fmt.Errorf("concat inputs differ outside channel dim: %s vs %s", in, s)
 				}
 			}
+			if s[1] > math.MaxInt-out[1] {
+				return nil, fmt.Errorf("concat channel count %d+%d overflows int", out[1], s[1])
+			}
 			out[1] += s[1]
 		}
 		return out, nil
@@ -370,14 +380,15 @@ func inferLayer(l *Layer, ins []Shape) (Shape, error) {
 		if a[0] != b[0] || a[1] != b[1] {
 			return nil, fmt.Errorf("matmul batch/sequence mismatch: %s vs %s", a, b)
 		}
+		width := mulSat(int64(l.Heads), int64(a[1]))
 		if l.TransposeB {
 			// scores: (N, h, T, d) × (N, h, d, T) → per-head (T, T); we
 			// represent the result as (N, T, heads*T).
-			return Shape{a[0], a[1], l.Heads * a[1]}, nil
+			return Shape{a[0], a[1], int(width)}, nil
 		}
 		// context: (N, h, T, T) × (N, h, T, d) → (N, T, D).
-		if a[2] != l.Heads*a[1] {
-			return nil, fmt.Errorf("context matmul expects scores of width heads*T=%d, got %d", l.Heads*a[1], a[2])
+		if int64(a[2]) != width {
+			return nil, fmt.Errorf("context matmul expects scores of width heads*T=%d, got %d", width, a[2])
 		}
 		return Shape{b[0], b[1], b[2]}, nil
 	}

@@ -242,3 +242,58 @@ func TestAddAssignsUniqueNames(t *testing.T) {
 		seen[l.Name] = true
 	}
 }
+
+// TestInferRejectsOverflow checks that Infer reports element counts and
+// FLOPs that do not fit in int64, instead of wrapping them silently, and
+// that TotalFLOPs reports a wrapping sum.
+func TestInferRejectsOverflow(t *testing.T) {
+	t.Run("input elements", func(t *testing.T) {
+		// (1, 2^32, 2^32) at batch 1 holds 2^64 elements, which wraps to 0.
+		n := New("huge", "Test", TaskImageClassification, Shape{1, 1 << 32, 1 << 32})
+		n.Conv(NetworkInput, 1, 1, 1, 1, 0)
+		if err := n.Infer(1); err == nil {
+			t.Fatalf("Infer accepted a 2^64-element input; LayerFLOPs reads %d", LayerFLOPs(n.Layers[0]))
+		}
+	})
+	t.Run("elements at a large batch", func(t *testing.T) {
+		n := New("wide", "Test", TaskImageClassification, Shape{3, 1 << 12, 1 << 12})
+		n.ReLU(NetworkInput)
+		if err := n.Infer(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Infer(1 << 40); err == nil {
+			t.Fatal("Infer accepted 3·2^64 elements at batch 2^40")
+		}
+	})
+	t.Run("layer FLOPs", func(t *testing.T) {
+		// 2^40 output elements × 2^20 input channels × 9 taps = 9·2^60.
+		n := New("deep", "Test", TaskImageClassification, Shape{1 << 20, 1 << 10, 1 << 10})
+		n.Conv(NetworkInput, 1<<20, 1<<20, 3, 1, 1)
+		if err := n.Infer(1); err == nil {
+			t.Fatalf("Infer accepted 9·2^60 FLOPs; LayerFLOPs reads %d", LayerFLOPs(n.Layers[0]))
+		}
+	})
+	t.Run("attention width", func(t *testing.T) {
+		// heads·T = 2^62·2^2 wraps to 0.
+		n := New("heads", "Test", TaskImageClassification, Shape{1 << 2, 8})
+		n.MatMul(NetworkInput, NetworkInput, 1<<62, true)
+		if err := n.Infer(1); err == nil {
+			t.Fatalf("Infer accepted a wrapped attention width; output %v", n.Layers[0].OutShape)
+		}
+	})
+	t.Run("total FLOPs", func(t *testing.T) {
+		// Four 3×3 convolutions of 9·2^58 FLOPs each: every layer fits,
+		// the sum (36·2^58) does not.
+		n := New("sum", "Test", TaskImageClassification, Shape{1 << 19, 1 << 10, 1 << 10})
+		x := NetworkInput
+		for i := 0; i < 4; i++ {
+			x = n.Conv(x, 1<<19, 1<<19, 3, 1, 1)
+		}
+		if err := n.Infer(1); err != nil {
+			t.Fatal(err)
+		}
+		if total, err := n.TotalFLOPs(); err == nil {
+			t.Fatalf("TotalFLOPs = %d with no error", total)
+		}
+	})
+}

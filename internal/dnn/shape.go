@@ -14,6 +14,8 @@ package dnn
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -25,7 +27,8 @@ import (
 type Shape []int
 
 // Numel returns the total number of elements described by the shape.
-// An empty shape has zero elements.
+// An empty shape has zero elements. Infer rejects every shape whose count
+// does not fit in int64 (see fits), so an inferred shape's count is exact.
 func (s Shape) Numel() int64 {
 	if len(s) == 0 {
 		return 0
@@ -35,6 +38,26 @@ func (s Shape) Numel() int64 {
 		n *= int64(d)
 	}
 	return n
+}
+
+// fits reports whether the shape's element count is below math.MaxInt64.
+func (s Shape) fits() bool {
+	n := int64(1)
+	for _, d := range s {
+		n = mulSat(n, int64(d))
+	}
+	return n < math.MaxInt64
+}
+
+// mulSat returns a·b, saturating at math.MaxInt64 when the product of two
+// positive factors would overflow. It multiplies without dividing: FLOPs
+// are counted for every layer dispatch, and plan compilation dispatches
+// each layer once per batch breakpoint.
+func mulSat(a, b int64) int64 {
+	if hi, lo := bits.Mul64(uint64(a), uint64(b)); a > 0 && b > 0 && (hi != 0 || lo > math.MaxInt64) {
+		return math.MaxInt64
+	}
+	return a * b
 }
 
 // Rank returns the number of dimensions.

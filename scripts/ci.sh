@@ -11,6 +11,9 @@
 #                         with seed minimisation off (-fuzzminimizetime 0:
 #                         minimising FuzzLoad's 23–38 kB seed envelopes
 #                         otherwise stalls it at 0 execs/s)
+#      examples        — run every examples/<name> and diff its stdout
+#                         against examples/<name>/testdata/stdout.golden
+#                         (every example is seeded and deterministic)
 #   4. serve smoke test — boot `dnnperf serve`, hit /healthz and /metrics;
 #                         then a 2-replica fleet: routing, 429 backpressure,
 #                         whole-fleet graceful drain
@@ -52,6 +55,13 @@ echo "$fuzz_list" | awk '/^Fuzz/ { t[n++] = $1 } /^ok/ { for (i = 0; i < n; i++)
 		echo "-- $pkg $target"
 		go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s -fuzzminimizetime 0 "$pkg"
 	done
+
+echo "== examples"
+for dir in examples/*/; do
+	name=$(basename "$dir")
+	echo "-- $name"
+	go run "./examples/$name" | diff -u "examples/$name/testdata/stdout.golden" -
+done
 
 echo "== serve smoke test"
 ./scripts/serve_smoke.sh
